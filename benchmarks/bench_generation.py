@@ -9,7 +9,7 @@ re-sort per removal), mating selection reuses the stamped
 environmental-selection fitness, and Ω updates are pre-filtered with one
 vectorized comparison.  This benchmark measures the end-to-end
 ``OptRROptimizer.run()`` speedup over the frozen pre-PR loop
-(:func:`repro.core.reference.reference_optrr_run`) at the default
+(:func:`oracles.optrr_loop.reference_optrr_run`) at the default
 population/generation budget and at P = 200, asserts the >= 2x acceptance
 bar, and verifies the two engines produce bit-for-bit identical fronts when
 the reference applies the same fitness-reuse fix.
@@ -26,7 +26,9 @@ or through pytest::
 from __future__ import annotations
 
 import os
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -35,10 +37,15 @@ try:
 except ImportError:  # standalone execution: benchmarks/ itself is sys.path[0]
     from conftest import record_bench
 
+    # The frozen reference implementations live in the repository root's
+    # oracles package.
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
 from repro.core.config import OptRRConfig
 from repro.core.optimizer import OptRROptimizer
-from repro.core.reference import reference_optrr_run
 from repro.data.synthetic import normal_distribution
+
+from oracles.optrr_loop import reference_optrr_run
 
 N_CATEGORIES = 10
 N_RECORDS = 10_000

@@ -1,0 +1,13 @@
+"""Frozen reference implementations for the equivalence suites and benchmarks.
+
+Nothing under ``src/`` may import this package (a tier-1 test enforces it):
+the modules here are executable specifications the array-native engine is
+checked and timed against, not code the ``optrr`` program runs.
+
+* :mod:`oracles.optrr_loop` — the pre-array ``Individual``-list OptRR loop;
+* :mod:`oracles.emoo` — ``Individual``-list forms of the EMOO primitives;
+* :mod:`oracles.rr` — the scalar RR operators, per-matrix evaluation and the
+  broadcast disguise.
+
+Run from the repository root (``python -m pytest`` puts it on ``sys.path``).
+"""

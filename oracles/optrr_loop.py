@@ -29,9 +29,7 @@ from repro.core.problem import RRMatrixProblem
 from repro.core.result import OptimizationResult
 from repro.data.distribution import CategoricalDistribution
 from repro.emoo.density import pairwise_distances
-from repro.emoo.fitness import assign_spea2_fitness
 from repro.emoo.individual import Individual, objectives_array
-from repro.emoo.selection import binary_tournament
 from repro.emoo.termination import (
     GenerationState,
     MaxGenerations,
@@ -41,6 +39,8 @@ from repro.emoo.termination import (
 from repro.exceptions import OptimizationError
 from repro.rr.matrix import stack_matrices
 from repro.types import SeedLike, as_rng
+
+from oracles.emoo import assign_spea2_fitness, binary_tournament
 
 
 def reference_truncate_archive(
@@ -224,7 +224,9 @@ def reference_optrr_run(
         offspring_stack = _make_offspring(
             problem, config, archive, rng, reuse_archive_fitness=reuse_archive_fitness
         )
-        population = problem.evaluate_stack(offspring_stack)
+        population = problem.population_to_individuals(
+            problem.evaluate_population(offspring_stack)
+        )
         updates = optimal_set.offer_many(population)
         updates += optimal_set.offer_many(archive)
         _refresh_from_optimal_set(

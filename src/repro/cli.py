@@ -41,7 +41,7 @@ from repro.analysis.front import ParetoFront
 from repro.analysis.plot import ascii_scatter
 from repro.analysis.report import format_front_table, format_pipeline_table
 from repro.core.config import DEFAULT_LOW_FIDELITY_FRACTION, OptRRConfig
-from repro.core.driver import DEFAULT_CHECKPOINT_EVERY, checkpoint_scope
+from repro.emoo.driver import DEFAULT_CHECKPOINT_EVERY, checkpoint_scope
 from repro.core.optimizer import OptRROptimizer
 from repro.core.search_space import log10_rr_matrix_combinations
 from repro.data.distribution import CategoricalDistribution
@@ -900,6 +900,13 @@ def _command_disguise(args: argparse.Namespace) -> int:
         name, matrix = _resolve_disguise_matrix(args)
     except (ValidationError, DataError, EstimationError) as exc:
         return _fail(str(exc))
+    # Fail closed before any code is written: the inversion estimator needs
+    # M^-1, and a singular M would otherwise surface mid-stream.
+    if args.estimator == "inversion" and not matrix.is_invertible:
+        return _fail(
+            f"matrix {name} is not invertible, so --estimator inversion cannot "
+            "reconstruct the distribution; use --estimator iterative"
+        )
     report_path = Path(args.report) if args.report is not None else None
     output_path = Path(args.output) if args.output is not None else None
     for option, path in (("report", report_path), ("output", output_path)):

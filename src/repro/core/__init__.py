@@ -10,7 +10,7 @@ matrix evicted from the bounded archive.
 
 from repro.core.config import OptRRConfig
 from repro.core.archive import OptimalSet
-from repro.core.driver import (
+from repro.emoo.driver import (
     DEFAULT_CHECKPOINT_EVERY,
     GenerationSnapshot,
     OptimizationDriver,
@@ -18,17 +18,12 @@ from repro.core.driver import (
     checkpoint_scope,
 )
 from repro.core.operators import (
-    column_crossover,
     column_crossover_batch,
-    enforce_privacy_bound,
     enforce_privacy_bound_batch,
-    proportional_column_mutation,
     proportional_column_mutation_batch,
-    random_initial_matrices,
 )
 from repro.core.problem import RRMatrixProblem
 from repro.core.optimizer import OptRROptimizer
-from repro.core.reference import reference_optrr_run
 from repro.core.result import OptimizationResult, ParetoPoint
 from repro.core.bruteforce import brute_force_front
 from repro.core.search_space import rr_matrix_combinations
@@ -46,13 +41,8 @@ __all__ = [
     "ParetoPoint",
     "RRMatrixProblem",
     "brute_force_front",
-    "reference_optrr_run",
-    "column_crossover",
     "column_crossover_batch",
-    "enforce_privacy_bound",
     "enforce_privacy_bound_batch",
-    "proportional_column_mutation",
     "proportional_column_mutation_batch",
-    "random_initial_matrices",
     "rr_matrix_combinations",
 ]

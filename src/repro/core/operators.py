@@ -1,7 +1,7 @@
 """RR-matrix variation operators (Sections V-E, V-F and V-G of the paper).
 
-All operators take and return :class:`~repro.rr.matrix.RRMatrix` instances
-and preserve the column-stochastic constraint:
+The operators move whole populations as ``(B, n, n)`` stacks of
+column-stochastic matrices and preserve that constraint:
 
 * **column crossover** — pick a random boundary between two columns and swap
   everything to its right between the two parents (Figure 3 in the paper);
@@ -13,6 +13,12 @@ and preserve the column-stochastic constraint:
   posteriors above ``delta`` and redistribute the removed mass within the
   same column, iterating until the worst posterior meets the bound (or a
   small iteration budget is exhausted).
+
+Each operator draws its randomness here, in a fixed order, so backend choice
+can never perturb the seeded RNG stream, and hands the pre-drawn arrays to
+the RNG-free kernels of the active array backend (:mod:`repro.backend`).
+The original per-matrix implementations are kept outside the package, as
+the specification the equivalence suites check these against.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ import numpy as np
 
 from repro.backend.registry import active_backend
 from repro.exceptions import ValidationError
-from repro.metrics.privacy import posterior_matrix
 from repro.rr.matrix import RRMatrix, random_rr_matrix
 from repro.types import SeedLike, as_rng
 from repro.utils.validation import (
@@ -29,193 +34,6 @@ from repro.utils.validation import (
     check_matrix_stack,
     check_positive_int,
 )
-
-#: Tiny value used to keep columns strictly positive where renormalisation
-#: would otherwise divide by zero.
-_EPSILON = 1e-12
-
-
-def column_crossover(
-    first: RRMatrix,
-    second: RRMatrix,
-    rng: SeedLike = None,
-) -> tuple[RRMatrix, RRMatrix]:
-    """Swap the columns to the right of a random boundary between two parents.
-
-    Because whole columns are exchanged, both children remain
-    column-stochastic by construction.
-    """
-    if first.n_categories != second.n_categories:
-        raise ValidationError("parents must have the same domain size")
-    n = first.n_categories
-    generator = as_rng(rng)
-    # A boundary after column `cut` (1 .. n-1); swapping after column n would
-    # be a no-op and after column 0 would swap everything (also allowed by the
-    # paper's figure, but it just exchanges the parents), so we restrict to
-    # boundaries that actually mix genetic material.
-    if n < 2:
-        return first, second
-    cut = int(generator.integers(1, n))
-    child_a = first.as_array()
-    child_b = second.as_array()
-    child_a[:, cut:], child_b[:, cut:] = child_b[:, cut:].copy(), child_a[:, cut:].copy()
-    return RRMatrix(child_a), RRMatrix(child_b)
-
-
-def _rebalance_column(column: np.ndarray, changed: int, delta: float) -> np.ndarray:
-    """Apply ``delta`` to ``column[changed]`` and redistribute ``-delta`` over
-    the remaining entries, proportionally to their values when removing mass
-    and proportionally to ``1 - value`` when adding mass.
-
-    This is the paper's mutation rebalancing rule; it keeps every entry in
-    ``[0, 1]`` and the column sum at one.
-    """
-    column = column.astype(np.float64).copy()
-    n = column.size
-    others = np.arange(n) != changed
-    column[changed] = column[changed] + delta
-    if delta > 0:
-        # Mass was added to the changed element: remove `delta` from the other
-        # elements proportionally to their current values.
-        weights = column[others]
-        total = weights.sum()
-        if total <= _EPSILON:
-            # Nothing to take from; undo the change.
-            column[changed] -= delta
-            return column
-        column[others] = weights - delta * (weights / total)
-    else:
-        # Mass was removed from the changed element: add `-delta` to the other
-        # elements proportionally to (1 - value).
-        headroom = 1.0 - column[others]
-        total = headroom.sum()
-        if total <= _EPSILON:
-            column[changed] -= delta
-            return column
-        column[others] = column[others] + (-delta) * (headroom / total)
-    column = np.clip(column, 0.0, 1.0)
-    column_sum = column.sum()
-    if column_sum <= 0:
-        return np.full(n, 1.0 / n)
-    return column / column_sum
-
-
-def proportional_column_mutation(
-    matrix: RRMatrix,
-    rng: SeedLike = None,
-    *,
-    scale: float = 0.3,
-) -> RRMatrix:
-    """Mutate one column of ``matrix`` as described in Section V-F.
-
-    A random element of a random column is perturbed by a random amount in
-    ``(0, scale]`` (added or subtracted, clipped so the element stays in
-    ``[0, 1]``) and the rest of the column is rescaled proportionally.
-    """
-    check_in_unit_interval(scale, "scale", inclusive_low=False)
-    generator = as_rng(rng)
-    n = matrix.n_categories
-    column_index = int(generator.integers(0, n))
-    element_index = int(generator.integers(0, n))
-    column = matrix.column(column_index)
-    magnitude = float(generator.uniform(0.0, scale))
-    add = bool(generator.integers(0, 2))
-    if add:
-        delta = min(magnitude, 1.0 - column[element_index])
-    else:
-        delta = -min(magnitude, column[element_index])
-    if abs(delta) <= _EPSILON:
-        # The element is already saturated in the chosen direction; flip it.
-        delta = -delta if delta != 0 else (
-            min(magnitude, 1.0 - column[element_index])
-            or -min(magnitude, column[element_index])
-        )
-        if abs(delta) <= _EPSILON:
-            return matrix
-    mutated_column = _rebalance_column(column, element_index, delta)
-    return matrix.replace_column(column_index, mutated_column)
-
-
-def enforce_privacy_bound(
-    matrix: RRMatrix,
-    prior: np.ndarray,
-    delta: float,
-    *,
-    max_passes: int = 50,
-    tolerance: float = 1e-9,
-) -> RRMatrix:
-    """Repair ``matrix`` so that ``max P(X | Y) <= delta`` (Section V-G).
-
-    For every posterior ``P(X = c_j | Y = c_i)`` above the bound, the entry
-    ``theta[i, j]`` is reduced towards the value that makes the posterior
-    exactly ``delta`` and the removed mass is redistributed over the other
-    entries of column ``j`` proportionally to ``1 - value``.  Because the
-    posteriors of a column interact (shrinking ``theta[i, j]`` shrinks row
-    ``i``'s normaliser, which *raises* the other posteriors of that report,
-    and the redistributed mass raises posteriors elsewhere in column ``j``),
-    a single pass can overshoot, so the procedure iterates up to
-    ``max_passes`` times and returns the *best state seen* — the visited
-    matrix with the smallest worst-case posterior, which is never worse than
-    the input.  Matrices that cannot be repaired (e.g. when
-    ``delta < max P(X)``, which Theorem 5 proves impossible to satisfy) are
-    returned in their best-effort state and the evaluator marks them
-    infeasible.
-    """
-    check_in_unit_interval(delta, "delta", inclusive_low=False)
-    check_positive_int(max_passes, "max_passes")
-    prior = np.asarray(prior, dtype=np.float64)
-    values = matrix.as_array()
-    n = matrix.n_categories
-    best_values = values
-    best_worst = np.inf
-    for pass_index in range(max_passes + 1):
-        posterior = posterior_matrix(values, prior)
-        worst = float(posterior.max())
-        if worst < best_worst:
-            best_worst = worst
-            best_values = values.copy()
-        if worst <= delta + tolerance or pass_index == max_passes:
-            break
-        # Visit the worst violating (report i, original j) pair.
-        report_index, original_index = np.unravel_index(np.argmax(posterior), posterior.shape)
-        i, j = int(report_index), int(original_index)
-        # Posterior(i, j) = theta[i, j] p_j / sum_l theta[i, l] p_l.
-        # Solving Posterior = delta for theta[i, j] with the other entries of
-        # row i fixed gives the target value below.
-        row_rest = float(values[i, :] @ prior - values[i, j] * prior[j])
-        if prior[j] <= _EPSILON:
-            break
-        target = delta * row_rest / (prior[j] * (1.0 - delta)) if delta < 1.0 else values[i, j]
-        target = float(np.clip(target, 0.0, values[i, j]))
-        removed = values[i, j] - target
-        if removed <= _EPSILON:
-            # Cannot reduce further (the prior alone already violates delta).
-            break
-        column = values[:, j].copy()
-        column[i] = target
-        others = np.arange(n) != i
-        headroom = 1.0 - column[others]
-        total_headroom = headroom.sum()
-        if total_headroom <= _EPSILON:
-            break
-        column[others] = column[others] + removed * (headroom / total_headroom)
-        column = np.clip(column, 0.0, 1.0)
-        column_sum = column.sum()
-        if column_sum <= 0:
-            break
-        values[:, j] = column / column_sum
-    return RRMatrix(best_values)
-
-
-# -- batched variants ---------------------------------------------------------
-#
-# The batch-evaluation engine moves whole populations through the variation
-# pipeline as (B, n, n) stacks.  The batched operators draw their randomness
-# here — in the exact order the reference implementation draws it, so backend
-# choice can never perturb the seeded RNG stream — and hand the pre-drawn
-# arrays to the RNG-free kernels of the active array backend
-# (:mod:`repro.backend`); the scalar functions remain the per-matrix
-# reference implementations.
 
 
 def column_crossover_batch(
@@ -243,24 +61,6 @@ def column_crossover_batch(
     return active_backend().crossover_columns(first, second, cuts)
 
 
-def _rebalance_columns_batch(
-    columns: np.ndarray, changed: np.ndarray, delta: np.ndarray
-) -> np.ndarray:
-    """Batched :func:`_rebalance_column`: apply ``delta[b]`` to
-    ``columns[b, changed[b]]`` and redistribute ``-delta[b]`` over the other
-    entries of each column, with the same undo/clip/renormalise rules.
-
-    The implementation lives on the reference backend (it is the heart of the
-    ``mutate_stack`` kernel); this alias keeps the reference helper importable
-    next to :func:`_rebalance_column` for the equivalence tests.
-    """
-    from repro.backend.numpy_backend import NumpyBackend
-
-    return NumpyBackend._rebalance_columns(
-        np.asarray(columns, dtype=np.float64), changed, delta
-    )
-
-
 def proportional_column_mutation_batch(
     stack: np.ndarray,
     rng: SeedLike = None,
@@ -271,9 +71,8 @@ def proportional_column_mutation_batch(
 
     For every matrix in the ``(B, n, n)`` stack a random element of a random
     column is perturbed and the rest of the column is rescaled, exactly as in
-    :func:`proportional_column_mutation` (including the saturation-flip rule);
-    only the random draws are vectorized.  All draws happen here, in the
-    reference order; the deterministic rebalancing runs on the active backend.
+    the paper's rule (including the saturation-flip rule); all draws happen
+    here, the deterministic rebalancing runs on the active backend.
     """
     check_in_unit_interval(scale, "scale", inclusive_low=False)
     stack = check_matrix_stack(stack, "stack")
@@ -298,15 +97,17 @@ def enforce_privacy_bound_batch(
     max_passes: int = 50,
     tolerance: float = 1e-9,
 ) -> np.ndarray:
-    """Batched :func:`enforce_privacy_bound` over a ``(B, n, n)`` stack.
+    """Repair a ``(B, n, n)`` stack so every ``max P(X | Y) <= delta``.
 
-    Each matrix follows the same trajectory as the scalar repair: per pass
-    the worst violating posterior cell is relaxed towards ``delta`` and the
-    removed mass is redistributed within its column; matrices that meet the
-    bound (or hit one of the scalar early-exit conditions) drop out of the
-    active set, and every matrix returns the best state it visited, so the
-    worst-case posterior never increases.  The repair is fully deterministic
-    and runs as a kernel of the active backend.
+    Per pass the worst violating posterior cell of each matrix is relaxed
+    towards ``delta`` and the removed mass is redistributed over the rest of
+    its column proportionally to ``1 - value``.  A pass can overshoot (the
+    posteriors of a column interact), so up to ``max_passes`` passes run and
+    every matrix returns the best state it visited: the worst-case posterior
+    never increases.  Matrices that cannot be repaired (e.g. ``delta <
+    max P(X)``, impossible by Theorem 5) come back best-effort and the
+    evaluator marks them infeasible.  The repair is fully deterministic and
+    runs as a kernel of the active backend.
     """
     check_in_unit_interval(delta, "delta", inclusive_low=False)
     check_positive_int(max_passes, "max_passes")
@@ -348,27 +149,3 @@ def random_initial_matrix(
         blended = blended + weight * noise
         return RRMatrix(blended / blended.sum(axis=0, keepdims=True))
     return random_rr_matrix(n_categories, seed=generator)
-
-
-def random_initial_matrices(
-    n_categories: int,
-    population_size: int,
-    rng: SeedLike = None,
-    *,
-    diagonal_bias: float = 2.0,
-) -> list[RRMatrix]:
-    """Generate the initial population ``Q_0``.
-
-    The population mixes plain random, diagonally-biased and near-uniform
-    matrices (see :func:`random_initial_matrix`) so the initial front already
-    spans the trade-off from near-total randomization to near-identity.
-    """
-    check_positive_int(n_categories, "n_categories")
-    check_positive_int(population_size, "population_size")
-    generator = as_rng(rng)
-    return [
-        random_initial_matrix(
-            n_categories, generator, kind=index, diagonal_bias=diagonal_bias
-        )
-        for index in range(population_size)
-    ]

@@ -23,8 +23,9 @@ density estimation and archive truncation; mating selection reuses the
 fitness environmental selection just assigned (stamped per generation, so
 staleness is impossible) instead of re-running fitness assignment on the
 archive.  ``Individual`` objects appear only at the result boundary and
-inside Ω.  The pre-PR list-based loop is preserved verbatim in
-:mod:`repro.core.reference` for equivalence tests and benchmarks.
+inside Ω.  The pre-PR list-based loop is preserved verbatim outside the
+package, in the repository's ``oracles`` directory, for equivalence tests and
+benchmarks.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from repro.core.archive import OptimalSet
 from repro.core.config import OptRRConfig
-from repro.core.driver import (
+from repro.emoo.driver import (
     OptimizationDriver,
     StepOutcome,
     SteppableOptimization,
@@ -142,7 +143,7 @@ class OptRROptimizer:
         """Run the optimization and return the resulting Pareto front.
 
         Thin wrapper over the stepwise :meth:`driver`; the loop itself lives
-        in :class:`~repro.core.driver.OptimizationDriver`.
+        in :class:`~repro.emoo.driver.OptimizationDriver`.
 
         Parameters
         ----------
@@ -158,7 +159,7 @@ class OptRROptimizer:
             :meth:`from_checkpoint` + :meth:`OptimizationDriver.restore`.
         checkpoint_every:
             Checkpoint cadence in generations (default
-            :data:`~repro.core.driver.DEFAULT_CHECKPOINT_EVERY`).
+            :data:`~repro.emoo.driver.DEFAULT_CHECKPOINT_EVERY`).
         deadline:
             Optional wall-clock budget in seconds, combined with the
             configured termination via ``|``.
@@ -209,7 +210,7 @@ class OptRROptimizer:
         """Build the stepwise driver for this optimizer.
 
         When neither ``checkpoint_path`` nor an explicit termination is
-        given, the ambient :func:`~repro.core.driver.checkpoint_scope` (set
+        given, the ambient :func:`~repro.emoo.driver.checkpoint_scope` (set
         by the cached-grid executor around every campaign cell) is consulted:
         the run claims a checkpoint file in the scope's directory, resumes
         automatically from a matching previous checkpoint, and honours the

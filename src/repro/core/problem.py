@@ -8,8 +8,10 @@ step enforces the worst-case privacy bound ``delta`` when one is configured.
 Evaluation and repair run through the batch engine: whole populations are
 stacked into ``(B, n, n)`` arrays and evaluated with
 :meth:`~repro.metrics.evaluation.MatrixEvaluator.evaluate_batch` /
-:func:`~repro.core.operators.enforce_privacy_bound_batch`.  The scalar
-``evaluate``/``repair`` methods remain as thin wrappers over the same engine.
+:func:`~repro.core.operators.enforce_privacy_bound_batch`.  The per-genome
+:class:`~repro.emoo.problem.Problem` methods (``evaluate``, ``crossover``,
+``mutate``, ``repair``) are batches of one through the same engine, so the
+operator math exists once, in the backend kernels.
 """
 
 from __future__ import annotations
@@ -20,11 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.operators import (
-    column_crossover,
     column_crossover_batch,
-    enforce_privacy_bound,
     enforce_privacy_bound_batch,
-    proportional_column_mutation,
     proportional_column_mutation_batch,
     random_initial_matrix,
 )
@@ -56,8 +55,8 @@ class RRMatrixProblem(Problem):
     mutation_scale:
         Magnitude bound of the mutation operator.
     diagonal_bias:
-        Diagonal bias used for half of the random genomes (see
-        :func:`repro.core.operators.random_initial_matrices`).
+        Diagonal bias used for a third of the random genomes (see
+        :func:`repro.core.operators.random_initial_matrix`).
     """
 
     prior: CategoricalDistribution
@@ -170,28 +169,12 @@ class RRMatrixProblem(Problem):
         return self.repair(matrix, rng)
 
     def initial_population(self, size: int, rng: np.random.Generator) -> list[Individual]:
-        """Create, batch-repair and batch-evaluate ``size`` random genomes.
-
-        The random draws happen sequentially (same stream as generating one
-        genome at a time); repair and evaluation go through the batch engine.
-        """
-        check_positive_int(size, "size")
-        raw = []
-        for _ in range(size):
-            self._counter += 1
-            raw.append(
-                random_initial_matrix(
-                    self.n_categories,
-                    rng,
-                    kind=self._counter,
-                    diagonal_bias=self.diagonal_bias,
-                )
-            )
-        return self.evaluate_genomes(self.repair_genomes(raw, rng))
+        """``Individual`` views of :meth:`initial_population_soa`."""
+        return self.population_to_individuals(self.initial_population_soa(size, rng))
 
     def evaluate(self, genome: RRMatrix) -> Individual:
         """Evaluate a matrix into an individual with objectives
-        ``(-privacy, utility)`` (thin wrapper over the batch engine)."""
+        ``(-privacy, utility)`` (a batch of one)."""
         return self.evaluate_genomes([genome])[0]
 
     def evaluate_genomes(
@@ -200,12 +183,12 @@ class RRMatrixProblem(Problem):
         *,
         fidelity: float | np.ndarray | None = None,
     ) -> list[Individual]:
-        """Batch-evaluate a list of matrices into individuals."""
+        """``Individual`` views of :meth:`evaluate_population` over a list of
+        matrices."""
         if not genomes:
             return []
-        return self.evaluate_stack(
-            stack_matrices(list(genomes)), genomes=list(genomes), fidelity=fidelity
-        )
+        population = self.evaluate_population(stack_matrices(list(genomes)), fidelity=fidelity)
+        return self.population_to_individuals(population)
 
     def evaluate_population(
         self,
@@ -271,8 +254,9 @@ class RRMatrixProblem(Problem):
         """Create, batch-repair and batch-evaluate ``size`` random genomes
         into a structure-of-arrays population.
 
-        Same random stream as :meth:`initial_population` (the draws happen
-        sequentially); the matrices are stacked once and never unpacked.
+        The draws happen sequentially (same stream as :meth:`random_genome`
+        one genome at a time); the matrices are stacked once and never
+        unpacked.
         """
         check_positive_int(size, "size")
         raw = np.empty((size, self.n_categories, self.n_categories))
@@ -286,57 +270,25 @@ class RRMatrixProblem(Problem):
             ).probabilities
         return self.evaluate_population(self.repair_stack(raw), fidelity=fidelity)
 
-    def evaluate_stack(
-        self,
-        stack: np.ndarray,
-        *,
-        genomes: list[RRMatrix] | None = None,
-        fidelity: float | np.ndarray | None = None,
-    ) -> list[Individual]:
-        """Evaluate a ``(B, n, n)`` stack of matrices into individuals.
-
-        ``Individual``-list boundary over :meth:`evaluate_population`.
-        ``genomes`` can supply pre-built :class:`RRMatrix` objects for the
-        individuals; otherwise the stack is unstacked.
-        """
-        population = self.evaluate_population(stack, fidelity=fidelity)
-        if genomes is None:
-            genomes = unstack_matrices(stack)
-        individuals = []
-        for index in range(population.size):
-            metadata = {
-                "privacy": float(population.metadata["privacy"][index]),
-                "utility": float(population.metadata["utility"][index]),
-                "max_posterior": float(population.metadata["max_posterior"][index]),
-                "invertible": bool(population.metadata["invertible"][index]),
-            }
-            if "fidelity" in population.metadata:
-                metadata["fidelity"] = float(population.metadata["fidelity"][index])
-            individuals.append(
-                Individual(
-                    genome=genomes[index],
-                    objectives=population.objectives[index],
-                    feasible=bool(population.feasible[index]),
-                    metadata=metadata,
-                )
-            )
-        return individuals
-
+    # -- per-genome operators: batches of one ---------------------------------
     def crossover(
         self, first: RRMatrix, second: RRMatrix, rng: np.random.Generator
     ) -> tuple[RRMatrix, RRMatrix]:
         """The paper's column-boundary crossover."""
-        return column_crossover(first, second, rng)
+        child_a, child_b = self.crossover_stack(
+            first.probabilities[None], second.probabilities[None], rng
+        )
+        return RRMatrix.from_validated(child_a[0]), RRMatrix.from_validated(child_b[0])
 
     def mutate(self, genome: RRMatrix, rng: np.random.Generator) -> RRMatrix:
         """The paper's proportional column mutation."""
-        return proportional_column_mutation(genome, rng, scale=self.mutation_scale)
+        return RRMatrix.from_validated(self.mutate_stack(genome.probabilities[None], rng)[0])
 
     def repair(self, genome: RRMatrix, rng: np.random.Generator) -> RRMatrix:
         """Enforce the privacy bound when one is configured (Section V-G)."""
         if self.delta is None:
             return genome
-        return enforce_privacy_bound(genome, self.prior.probabilities, self.delta)
+        return RRMatrix.from_validated(self.repair_stack(genome.probabilities[None])[0])
 
     def repair_genomes(
         self, genomes: Sequence[RRMatrix], rng: np.random.Generator

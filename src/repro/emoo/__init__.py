@@ -13,21 +13,15 @@ opaque genomes.  ``repro.core`` instantiates it with RR matrices as genomes.
 from repro.emoo.individual import Individual
 from repro.emoo.dominance import (
     dominance_matrix_from_arrays,
-    dominates,
     non_dominated,
-    pareto_ranks,
     pareto_ranks_from_arrays,
-    pareto_ranks_reference,
 )
-from repro.emoo.fitness import assign_spea2_fitness, spea2_fitness_from_arrays
+from repro.emoo.fitness import spea2_fitness_from_arrays
 from repro.emoo.density import kth_nearest_distances, pairwise_distances, spea2_density
 from repro.emoo.population import Population
 from repro.emoo.selection import (
-    binary_tournament,
     binary_tournament_indices,
-    environmental_selection,
     environmental_selection_indices,
-    truncate_archive,
     truncate_indices,
 )
 from repro.emoo.problem import Problem
@@ -39,8 +33,7 @@ from repro.emoo.termination import (
     StagnationTermination,
     TerminationCriterion,
 )
-# The driver must load before the algorithms built on it (spea2/nsga2); the
-# public import surface for it is repro.core.driver.
+# The driver must load before the algorithms built on it (spea2/nsga2).
 from repro.emoo.driver import (
     GenerationSnapshot,
     OptimizationDriver,
@@ -80,26 +73,19 @@ __all__ = [
     "TerminationCriterion",
     "WeightedSumGA",
     "WeightedSumSettings",
-    "assign_spea2_fitness",
-    "binary_tournament",
     "binary_tournament_indices",
     "coverage",
     "crowding_distances_from_objectives",
     "dominance_matrix_from_arrays",
-    "dominates",
-    "environmental_selection",
     "environmental_selection_indices",
     "epsilon_indicator",
     "hypervolume_2d",
     "kth_nearest_distances",
     "non_dominated",
     "pairwise_distances",
-    "pareto_ranks",
     "pareto_ranks_from_arrays",
-    "pareto_ranks_reference",
     "spea2_density",
     "spea2_fitness_from_arrays",
     "spread_2d",
-    "truncate_archive",
     "truncate_indices",
 ]

@@ -30,8 +30,7 @@ the cell re-runs after an interruption.
 
 This module lives in the ``emoo`` layer because the generic SPEA2/NSGA-II
 engines run on the same driver and ``repro.emoo`` must not depend on
-``repro.core``; :mod:`repro.core.driver` is the public import surface and
-re-exports everything defined here.
+``repro.core``.
 """
 
 from __future__ import annotations

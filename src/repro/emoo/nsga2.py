@@ -25,7 +25,7 @@ from repro.emoo.driver import (
     workload_fingerprint,
 )
 from repro.emoo.fidelity import FidelitySchedule, FidelityScheduler
-from repro.emoo.individual import Individual, objectives_array
+from repro.emoo.individual import Individual
 from repro.emoo.population import Population
 from repro.emoo.problem import Problem
 from repro.emoo.termination import MaxGenerations, TerminationCriterion
@@ -65,8 +65,7 @@ class NSGA2Result:
 def crowding_distances_from_objectives(objectives: np.ndarray) -> np.ndarray:
     """Crowding distance of every row of a single front's objective array.
 
-    Pure array computation (one stable argsort per objective); callers that
-    work with ``Individual`` lists use :func:`crowding_distances`.
+    Pure array computation (one stable argsort per objective).
     """
     objectives = np.asarray(objectives, dtype=np.float64)
     size = objectives.shape[0]
@@ -84,28 +83,6 @@ def crowding_distances_from_objectives(objectives: np.ndarray) -> np.ndarray:
         spacing = (values[2:] - values[:-2]) / value_range
         distances[order[1:-1]] += spacing
     return distances
-
-
-def crowding_distances(front: list[Individual]) -> np.ndarray:
-    """Crowding distance of every individual in a single front.
-
-    Also writes the distance back onto each individual's ``crowding``
-    attribute.
-    """
-    if not front:
-        return np.empty(0)
-    distances = crowding_distances_from_objectives(objectives_array(front))
-    for individual, distance in zip(front, distances):
-        individual.crowding = float(distance)
-    return distances
-
-
-def _crowded_better(first: Individual, second: Individual) -> bool:
-    """NSGA-II crowded-comparison operator: lower rank wins, ties broken by
-    larger crowding distance."""
-    if first.rank != second.rank:
-        return first.rank < second.rank
-    return first.crowding > second.crowding
 
 
 @dataclass
@@ -253,7 +230,7 @@ class NSGA2:
     ) -> np.ndarray:
         """Vectorized crowded-comparison tournaments: lower rank wins, ties
         broken by larger crowding distance, full ties go to the second
-        contestant (as in the sequential :func:`_crowded_better`)."""
+        contestant."""
         first, second = contenders[:, 0], contenders[:, 1]
         first_wins = (ranks[first] < ranks[second]) | (
             (ranks[first] == ranks[second]) & (crowding[first] > crowding[second])

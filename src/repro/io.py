@@ -14,7 +14,7 @@ and the campaign determinism guarantee are built on.
 
 The ``checkpoint`` document type (:func:`save_checkpoint` /
 :func:`load_checkpoint`) stores a whole optimization run's resumable state;
-its payload is produced and consumed by :mod:`repro.core.driver`, and its
+its payload is produced and consumed by :mod:`repro.emoo.driver`, and its
 schema is documented in ``docs/cli.md``.
 """
 
@@ -390,7 +390,7 @@ def checkpoint_quarantine_path(path: str | Path) -> Path:
 def save_checkpoint(document: dict[str, Any], path: str | Path) -> Path:
     """Atomically write a ``checkpoint`` document and return its path.
 
-    Checkpoints are produced by :meth:`repro.core.driver.OptimizationDriver.
+    Checkpoints are produced by :meth:`repro.emoo.driver.OptimizationDriver.
     checkpoint_document`: a versioned snapshot of a whole optimization run
     (population/archive/Ω arrays as base64 bytes, termination counters, the
     NumPy bit-generator state).  The write goes through a temporary file in
@@ -431,13 +431,16 @@ def load_checkpoint(path: str | Path) -> dict[str, Any]:
 
     Only the document envelope is validated here (type and format version);
     the algorithm-specific payload is validated by
-    :meth:`repro.core.driver.OptimizationDriver.restore`.
+    :meth:`repro.emoo.driver.OptimizationDriver.restore`.
 
     A *missing* checkpoint raises :class:`FileNotFoundError`; a file that
     exists but does not decode or validate raises
     :class:`~repro.exceptions.CheckpointCorruptionError` — distinct failure
     modes, because resume treats them differently (fresh start versus
-    fallback to the previous valid checkpoint).
+    fallback to the previous valid checkpoint).  A well-formed document of
+    another type, or a checkpoint of an unsupported format version, is
+    neither: it raises a plain :class:`~repro.exceptions.ValidationError`,
+    because it is somebody's intact file, not a torn checkpoint.
     """
     path = Path(path)
     text = path.read_text(encoding="utf-8")
@@ -450,21 +453,37 @@ def load_checkpoint(path: str | Path) -> dict[str, Any]:
     try:
         _check_document(document, "checkpoint")
     except ValidationError as exc:
+        if _is_io_document(document):
+            raise ValidationError(f"{path} is not a resumable checkpoint: {exc}") from exc
         raise CheckpointCorruptionError(
             f"checkpoint {path} failed envelope validation: {exc}"
         ) from exc
     return document
 
 
+def _is_io_document(document: Any) -> bool:
+    """Whether ``document`` carries a well-formed io envelope (a string
+    ``type`` and an integer ``format_version``), whatever its type/version."""
+    return (
+        isinstance(document, dict)
+        and isinstance(document.get("type"), str)
+        and type(document.get("format_version")) is int
+    )
+
+
 def load_checkpoint_with_fallback(path: str | Path) -> tuple[dict[str, Any], Path]:
     """Load ``path``'s checkpoint, falling back to its ``.prev`` rotation.
 
-    Corrupt candidates are quarantined (renamed to ``.corrupt`` with a
-    logged warning) before the next candidate is tried.  Returns the
-    document together with the path it was actually read from.  Raises
-    :class:`FileNotFoundError` when no candidate exists at all, and
+    Corrupt candidates (undecodable, or failing the envelope check) are
+    quarantined (renamed to ``.corrupt`` with a logged warning) before the
+    next candidate is tried.  Returns the document together with the path it
+    was actually read from.  Raises :class:`FileNotFoundError` when no
+    candidate exists at all, and
     :class:`~repro.exceptions.CheckpointCorruptionError` when candidates
-    existed but none was valid.
+    existed but none was valid.  A well-formed document that is not a
+    resumable checkpoint (another document type, an unsupported version)
+    raises :class:`~repro.exceptions.ValidationError` at once and leaves
+    every file where it is: renaming a file the user named would destroy it.
     """
     path = Path(path)
     corruption: CheckpointCorruptionError | None = None

@@ -29,8 +29,9 @@ from hypothesis import strategies as st
 from repro.backend import registry
 from repro.backend.base import EQUIVALENCE_RTOL, KERNELS
 from repro.backend.numpy_backend import NumpyBackend
-from repro.rr.reference import broadcast_disguise_reference
 from repro.utils.linalg import DEFAULT_CONDITION_LIMIT
+
+from oracles.rr import broadcast_disguise_reference
 
 #: Absolute floor applied alongside ``EQUIVALENCE_RTOL`` for ``"tolerance"``
 #: kernels (see the module docstring).

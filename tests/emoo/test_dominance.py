@@ -5,14 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.emoo.dominance import (
-    dominance_matrix,
-    dominates,
-    non_dominated,
-    non_dominated_objectives,
-    pareto_ranks,
-)
+from repro.emoo.dominance import non_dominated, non_dominated_objectives
 from tests.emoo.conftest import make_individual
+
+from oracles.emoo import dominance_matrix, dominates, pareto_ranks
 
 
 class TestDominates:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.emoo.nsga2 import NSGA2, NSGA2Settings, crowding_distances
+from repro.emoo.individual import objectives_array
+from repro.emoo.nsga2 import NSGA2, NSGA2Settings, crowding_distances_from_objectives
 from repro.emoo.termination import MaxGenerations
 from tests.emoo.conftest import make_individual
 
@@ -17,7 +18,7 @@ class TestCrowdingDistance:
             make_individual([0.5, 0.5]),
             make_individual([1.0, 0.0]),
         ]
-        distances = crowding_distances(front)
+        distances = crowding_distances_from_objectives(objectives_array(front))
         assert distances[0] == np.inf and distances[2] == np.inf
         assert np.isfinite(distances[1])
 
@@ -28,13 +29,13 @@ class TestCrowdingDistance:
             make_individual([0.1, 0.85]),
             make_individual([1.0, 0.0]),
         ]
-        distances = crowding_distances(front)
+        distances = crowding_distances_from_objectives(objectives_array(front))
         # The interior point next to the isolated extreme is less crowded than
         # the interior point in the dense cluster.
         assert distances[2] > distances[1]
 
     def test_empty_front(self):
-        assert crowding_distances([]).size == 0
+        assert crowding_distances_from_objectives(np.empty((0, 2))).size == 0
 
 
 class TestNSGA2Run:

@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.emoo.fitness import assign_spea2_fitness
-from repro.emoo.selection import binary_tournament, environmental_selection, truncate_archive
 from repro.exceptions import OptimizationError
 from tests.emoo.conftest import make_individual
+
+from oracles.emoo import (
+    assign_spea2_fitness,
+    binary_tournament,
+    environmental_selection,
+    truncate_archive,
+)
 
 
 class TestEnvironmentalSelection:

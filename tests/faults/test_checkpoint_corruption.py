@@ -4,6 +4,9 @@ newest checkpoint recovers from the previous valid one bit-exactly."""
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.cli import main
@@ -147,3 +150,50 @@ class TestTruncatedResumeAcceptance:
         _truncate(checkpoint_rotation_path(checkpoint))
         assert main(["optimize", "--resume", str(checkpoint)]) == 2
         assert "cannot read --resume" in capsys.readouterr().err
+
+
+def _disguise_report(path) -> None:
+    codes = path.with_name("codes.txt")
+    codes.write_text("0\n1\n2\n3\n", encoding="utf-8")
+    assert main(
+        ["disguise", str(codes), "--matrix", "warner:0.75", "--categories", "4",
+         "--output", str(path.with_name("disguised.txt")), "--report", str(path)]
+    ) == 0
+
+
+def _optimization_result(path) -> None:
+    assert main(FAST_OPTIMIZE + ["--generations", "2", "--output", str(path)]) == 0
+
+
+def _future_checkpoint(path) -> None:
+    assert main(FAST_OPTIMIZE + ["--generations", "2", "--checkpoint", str(path)]) == 0
+    document = json.loads(path.read_text(encoding="utf-8"))
+    document["format_version"] = 99
+    path.write_text(json.dumps(document), encoding="utf-8")
+
+
+class TestForeignDocumentResume:
+    """``--resume`` on an intact file that is not a resumable checkpoint is a
+    usage error that touches nothing: quarantine is for torn checkpoints, and
+    renaming a document the user named would lose it."""
+
+    @pytest.mark.parametrize(
+        "make_document", [_disguise_report, _optimization_result, _future_checkpoint]
+    )
+    def test_resume_refuses_and_leaves_the_files_alone(self, tmp_path, capsys, make_document):
+        document = tmp_path / "doc.json"
+        make_document(document)
+        rotation = checkpoint_rotation_path(document)
+        rotation.write_bytes(document.read_bytes())
+        before = {path: _sha256(path) for path in (document, rotation)}
+        capsys.readouterr()
+        assert main(["optimize", "--resume", str(document)]) == 2
+        stderr = capsys.readouterr().err
+        assert "cannot read --resume" in stderr
+        assert "Traceback" not in stderr
+        assert {path: _sha256(path) for path in (document, rotation)} == before
+        assert list(tmp_path.glob("*.corrupt")) == []
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()

@@ -68,7 +68,7 @@ class TestMatrixEvaluator:
 
     def test_evaluate_many(self, evaluator):
         matrices = [warner_matrix(4, p) for p in (0.3, 0.5, 0.7)]
-        evaluations = evaluator.evaluate_many(matrices)
+        evaluations = evaluator.evaluate_batch(matrices).unpack()
         assert len(evaluations) == 3
         privacies = [evaluation.privacy for evaluation in evaluations]
         assert privacies == sorted(privacies, reverse=True)

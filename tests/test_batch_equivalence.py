@@ -15,16 +15,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.backend.numpy_backend import NumpyBackend
 from repro.core.operators import (
-    _rebalance_column,
-    _rebalance_columns_batch,
     column_crossover_batch,
-    enforce_privacy_bound,
     enforce_privacy_bound_batch,
     proportional_column_mutation_batch,
 )
 from repro.data.distribution import CategoricalDistribution
-from repro.emoo.dominance import pareto_ranks, pareto_ranks_reference
 from repro.emoo.individual import Individual
 from repro.metrics.evaluation import MatrixEvaluator
 from repro.metrics.privacy import (
@@ -38,6 +35,11 @@ from repro.metrics.privacy import (
     privacy_score_batch,
 )
 from repro.rr.matrix import RRMatrix, random_rr_matrix, stack_matrices, unstack_matrices
+
+from oracles.emoo import pareto_ranks, pareto_ranks_reference
+from oracles.rr import _rebalance_column, enforce_privacy_bound, evaluate_scalar
+
+_rebalance_columns_batch = NumpyBackend._rebalance_columns
 
 TOLERANCE = 1e-12
 
@@ -120,7 +122,7 @@ class TestBatchEvaluationEquivalence:
         batch = evaluator.evaluate_batch(matrices)
         assert len(batch) == len(matrices)
         for index, matrix in enumerate(matrices):
-            scalar = evaluator.evaluate_scalar(matrix)
+            scalar = evaluate_scalar(evaluator, matrix)
             result = batch[index]
             assert result.invertible == scalar.invertible
             assert result.feasible == scalar.feasible
@@ -143,7 +145,7 @@ class TestBatchEvaluationEquivalence:
         evaluator = MatrixEvaluator(prior, 1000, delta=delta)
         batch = evaluator.evaluate_batch(matrices)
         for index, matrix in enumerate(matrices):
-            assert batch[index].feasible == evaluator.evaluate_scalar(matrix).feasible
+            assert batch[index].feasible == evaluate_scalar(evaluator, matrix).feasible
 
     @SETTINGS
     @given(case=priors_and_batches())
@@ -205,7 +207,7 @@ class TestBatchEvaluationEquivalence:
         evaluator = MatrixEvaluator(prior, 1000, delta=None)
         batch = evaluator.evaluate_batch([matrix])
         assert evaluator.evaluate(matrix).invertible == batch[0].invertible
-        assert evaluator.evaluate_scalar(matrix).invertible == batch[0].invertible
+        assert evaluate_scalar(evaluator, matrix).invertible == batch[0].invertible
         assert matrix.is_invertible == batch[0].invertible
 
 

@@ -424,6 +424,24 @@ class TestAdultCategoriesResolution:
         assert "error" in capsys.readouterr().err
 
 
+class TestDisguise:
+    def test_singular_matrix_fails_closed_with_inversion(self, tmp_path, capsys):
+        """Warner at p = 1/n is singular: the default inversion estimator
+        cannot work, so the command refuses before writing any code."""
+        codes = tmp_path / "codes.txt"
+        codes.write_text("0\n1\n2\n3\n", encoding="utf-8")
+        output = tmp_path / "disguised.txt"
+        argv = ["disguise", str(codes), "--matrix", "warner:0.25", "--categories", "4",
+                "--output", str(output)]
+        assert main(argv) == 2
+        stderr = capsys.readouterr().err
+        assert "not invertible" in stderr and "--estimator iterative" in stderr
+        assert "Traceback" not in stderr
+        assert not output.exists()
+        assert main(argv + ["--estimator", "iterative"]) == 0
+        assert len(output.read_text(encoding="utf-8").split()) == 4
+
+
 class TestArgumentErrors:
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):

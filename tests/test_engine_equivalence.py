@@ -5,7 +5,7 @@ computes — only how fast.  Three layers of evidence:
 
 * **Trajectory** — fixed-seed end-to-end runs of the array-native
   :class:`~repro.core.optimizer.OptRROptimizer` reproduce the frozen
-  list-based loop (:mod:`repro.core.reference`) bit-for-bit, fronts, Ω and
+  list-based loop (:mod:`oracles.optrr_loop`) bit-for-bit, fronts, Ω and
   matrices included, when the reference applies the same fitness-reuse fix
   (``reuse_archive_fitness=True``).  The RNG stream is untouched by the
   refactor, so this holds exactly, not approximately.
@@ -30,22 +30,19 @@ from repro.backend.registry import backend_names, use_backend
 from repro.core.config import OptRRConfig
 from repro.core.optimizer import OptRROptimizer
 from repro.core.problem import RRMatrixProblem
-from repro.core.reference import (
-    reference_environmental_selection,
-    reference_optrr_run,
-    reference_truncate_archive,
-)
 from repro.data.synthetic import normal_distribution
 from repro.emoo.nsga2 import NSGA2, NSGA2Settings
 from repro.emoo.spea2 import SPEA2, SPEA2Settings
 from repro.emoo.termination import MaxGenerations
-from repro.emoo.selection import (
-    binary_tournament,
-    binary_tournament_indices,
-    environmental_selection,
-    truncate_archive,
-)
+from repro.emoo.selection import binary_tournament_indices
 from tests.emoo.conftest import make_individual
+
+from oracles.emoo import binary_tournament, environmental_selection, truncate_archive
+from oracles.optrr_loop import (
+    reference_environmental_selection,
+    reference_optrr_run,
+    reference_truncate_archive,
+)
 
 SETTINGS = settings(
     max_examples=60,

@@ -21,14 +21,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.operators import (
-    column_crossover,
-    enforce_privacy_bound,
-    proportional_column_mutation,
+    column_crossover_batch,
+    enforce_privacy_bound_batch,
+    proportional_column_mutation_batch,
 )
 from repro.data.distribution import CategoricalDistribution
-from repro.emoo.dominance import dominates
+from repro.emoo.dominance import dominance_matrix_from_arrays
 from repro.emoo.indicators import hypervolume_2d
-from repro.emoo.individual import Individual
 from repro.metrics.privacy import max_posterior, privacy_score
 from repro.metrics.utility import theoretical_mse, utility_score
 from repro.rr.estimation import InversionEstimator, IterativeEstimator
@@ -93,6 +92,12 @@ def assert_column_stochastic(matrix: RRMatrix) -> None:
     np.testing.assert_allclose(matrix.probabilities.sum(axis=0), 1.0, atol=1e-8)
 
 
+def _only(stack: np.ndarray) -> RRMatrix:
+    """The single matrix of a batch-of-one operator result (unvalidated, so
+    the stochasticity assertions see the raw output)."""
+    return RRMatrix.from_validated(stack[0])
+
+
 # -- operator invariants ---------------------------------------------------------
 class TestOperatorInvariants:
     @SETTINGS
@@ -105,22 +110,28 @@ class TestOperatorInvariants:
                 np.ones(matrix.n_categories), size=matrix.n_categories
             ).T
         )
-        child_a, child_b = column_crossover(matrix, other, rng)
-        assert_column_stochastic(child_a)
-        assert_column_stochastic(child_b)
+        child_a, child_b = column_crossover_batch(
+            matrix.probabilities[None], other.probabilities[None], rng
+        )
+        assert_column_stochastic(_only(child_a))
+        assert_column_stochastic(_only(child_b))
 
     @SETTINGS
     @given(matrix=rr_matrices(), seed=st.integers(0, 2**31 - 1), scale=st.floats(0.01, 1.0))
     def test_mutation_preserves_stochasticity(self, matrix, seed, scale):
-        mutated = proportional_column_mutation(matrix, np.random.default_rng(seed), scale=scale)
-        assert_column_stochastic(mutated)
+        mutated = proportional_column_mutation_batch(
+            matrix.probabilities[None], np.random.default_rng(seed), scale=scale
+        )
+        assert_column_stochastic(_only(mutated))
 
     @SETTINGS
     @given(pair=priors_and_matrices(), delta_offset=st.floats(0.01, 0.3))
     def test_bound_repair_preserves_stochasticity_and_never_worsens(self, pair, delta_offset):
         prior, matrix = pair
         delta = min(0.999, prior.max_probability + delta_offset)
-        repaired = enforce_privacy_bound(matrix, prior.probabilities, delta)
+        repaired = _only(
+            enforce_privacy_bound_batch(matrix.probabilities[None], prior.probabilities, delta)
+        )
         assert_column_stochastic(repaired)
         assert (
             max_posterior(repaired, prior.probabilities)
@@ -217,10 +228,10 @@ class TestDominanceProperties:
         )
     )
     def test_dominance_is_irreflexive_and_antisymmetric(self, objectives):
-        a = Individual(genome=None, objectives=objectives[0])
-        b = Individual(genome=None, objectives=objectives[1])
-        assert not dominates(a, a)
-        assert not (dominates(a, b) and dominates(b, a))
+        matrix = dominance_matrix_from_arrays(objectives)
+        self_dominance = dominance_matrix_from_arrays(objectives[[0, 0]])
+        assert not self_dominance[0, 1]
+        assert not (matrix[0, 1] and matrix[1, 0])
 
     @SETTINGS
     @given(

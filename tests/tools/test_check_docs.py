@@ -88,6 +88,19 @@ def test_module_reference_with_attribute_tail_resolves(doc_tree: Path) -> None:
     assert check_docs.check_file(path) == []
 
 
+def test_oracle_module_references_resolve_at_the_root(doc_tree: Path) -> None:
+    (doc_tree / "oracles").mkdir()
+    (doc_tree / "oracles" / "__init__.py").write_text("", encoding="utf-8")
+    (doc_tree / "oracles" / "rr.py").write_text("def evaluate_scalar():\n", encoding="utf-8")
+    good = _doc(doc_tree, "good.md", "Compare with `oracles.rr.evaluate_scalar`.\n")
+    assert check_docs.check_file(good) == []
+    bad = _doc(doc_tree, "bad.md", "Compare with `oracles.missing` in `oracles/missing.py`.\n")
+    problems = check_docs.check_file(bad)
+    assert len(problems) == 2
+    assert "missing file reference -> oracles/missing.py" in problems[0]
+    assert "unknown module -> oracles.missing" in problems[1]
+
+
 def test_paper_map_source_references(doc_tree: Path) -> None:
     good = _doc(doc_tree, "paper_map.md", "| Thm 2 | `rr/matrix.py` |\n")
     assert check_docs.check_file(good) == []

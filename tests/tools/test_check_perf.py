@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import subprocess
 from pathlib import Path
 
-from tool_loader import load_tool
+import pytest
+
+from tool_loader import REPO_ROOT, load_tool
 
 check_perf = load_tool("check_perf")
 
@@ -92,3 +95,38 @@ def test_load_records_maps_ops(tmp_path: Path) -> None:
     assert set(records) == {"evaluate", "setup"}
     assert records["evaluate"]["speedup"] == 4.0
     assert check_perf.load_records(tmp_path, "absent") == {}
+
+
+def _tracked_files() -> set[str]:
+    """Files git tracks at the repository root; skips outside a checkout."""
+    try:
+        top = subprocess.run(
+            ["git", "rev-parse", "--show-toplevel"],
+            cwd=REPO_ROOT, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        listing = subprocess.run(
+            ["git", "ls-files"], cwd=REPO_ROOT, capture_output=True, text=True, check=True
+        ).stdout
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("not a git checkout")
+    if Path(top).resolve() != REPO_ROOT:
+        pytest.skip("not a git checkout of this repository")
+    return set(listing.splitlines())
+
+
+def test_every_gated_section_has_a_tracked_passing_snapshot() -> None:
+    """The committed snapshots pass the gate: every non-``_`` section of the
+    baseline has a tracked ``BENCH_<name>.json`` (a file the ``BENCH_*.json``
+    ignore rule would otherwise swallow) that clears its own bars."""
+    tracked = _tracked_files()
+    baseline = REPO_ROOT / "benchmarks" / "perf_baseline.json"
+    sections = sorted(
+        name for name in json.loads(baseline.read_text(encoding="utf-8"))
+        if not name.startswith("_")
+    )
+    assert [
+        name for name in sections if f"BENCH_{name}.json" not in tracked
+    ] == []
+    assert {name: check_perf.check(baseline, REPO_ROOT, only=[name]) for name in sections} == {
+        name: 0 for name in sections
+    }

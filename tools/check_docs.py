@@ -12,7 +12,8 @@ Validates ``README.md`` and every ``docs/*.md`` file:
   ``docs/paper_map.md`` are additionally resolved against ``src/repro/``
   (its table convention).
 * **Module references** — every backticked dotted ``repro.*`` module name
-  must be importable as a file under ``src/``.
+  must be importable as a file under ``src/``, and every ``oracles.*`` name
+  as a file of the repository root's ``oracles`` package.
 
 Exit code 0 when everything resolves, 1 with a per-problem report otherwise.
 Run from the repository root::
@@ -33,11 +34,12 @@ LINK_PATTERN = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
 #: Backticked repo-file reference: `docs/x.md`, `examples/y.py`, ...
 FILE_REFERENCE_PATTERN = re.compile(
-    r"`((?:docs|examples|benchmarks|tests|tools|src)/[A-Za-z0-9_./-]+?\.(?:md|py|toml|yml))`"
+    r"`((?:docs|examples|benchmarks|oracles|tests|tools|src)/"
+    r"[A-Za-z0-9_./-]+?\.(?:md|py|toml|yml))`"
 )
 
-#: Backticked module reference: `repro.pipeline`, `repro.data.workload`, ...
-MODULE_REFERENCE_PATTERN = re.compile(r"`(repro(?:\.[a-z_]+)+)`")
+#: Backticked module reference: `repro.pipeline`, `oracles.rr`, ...
+MODULE_REFERENCE_PATTERN = re.compile(r"`((?:repro|oracles)(?:\.[a-z_]+)+)`")
 
 #: Backticked paper-map style source path: `rr/matrix.py`, `cli.py`, ...
 SOURCE_PATH_PATTERN = re.compile(r"`([a-z_]+(?:/[a-z_]+)*\.py)`")
@@ -50,10 +52,11 @@ def _exists_as_module(dotted: str) -> bool:
     # re-export) — otherwise any `repro.typo` would slip through on the
     # strength of the package prefix alone.
     parts = dotted.split(".")
+    base = ROOT / "src" if parts[0] == "repro" else ROOT
     for length in range(len(parts), 0, -1):
-        relative = Path("src", *parts[:length])
-        module_file = (ROOT / relative).with_suffix(".py")
-        package_init = ROOT / relative / "__init__.py"
+        relative = Path(*parts[:length])
+        module_file = (base / relative).with_suffix(".py")
+        package_init = base / relative / "__init__.py"
         if module_file.is_file():
             source = module_file
         elif package_init.is_file():

@@ -18,7 +18,9 @@ from __future__ import annotations
 import argparse
 import cProfile
 import pstats
+import sys
 import time
+from pathlib import Path
 
 
 def main() -> int:
@@ -44,10 +46,13 @@ def main() -> int:
     )
     arguments = parser.parse_args()
 
+    # The frozen reference loop lives in the repository root's oracles package.
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
     from repro.core.config import OptRRConfig
     from repro.core.optimizer import OptRROptimizer
-    from repro.core.reference import reference_optrr_run
     from repro.data.synthetic import normal_distribution
+
+    from oracles.optrr_loop import reference_optrr_run
 
     prior = normal_distribution(arguments.categories)
     config = OptRRConfig(
