@@ -111,8 +111,8 @@ def _baseline_seed_individuals(
     n = problem.n_categories
     retention_values = np.linspace(0.0, 1.0, config.baseline_seeds)
     matrices = [warner_matrix(n, float(retention)) for retention in retention_values]
-    matrices = problem.repair_genomes(matrices, rng)
-    return problem.evaluate_genomes(matrices)
+    matrices = problem.repair_stack(stack_matrices(matrices))
+    return problem.population_to_individuals(problem.evaluate_population(matrices))
 
 
 def _make_offspring(
@@ -203,7 +203,9 @@ def reference_optrr_run(
     termination = _termination(config)
     termination.reset()
 
-    population = problem.initial_population(config.population_size, rng)
+    population = problem.population_to_individuals(
+        problem.initial_population(config.population_size, rng)
+    )
     baseline_seeds = _baseline_seed_individuals(problem, config, rng)
     if not population:
         raise OptimizationError("initial population is empty")

@@ -1,11 +1,13 @@
 """OptRR core: the paper's SPEA2-based search for optimal RR matrices.
 
 This package turns the generic EMOO engine (:mod:`repro.emoo`) into the
-paper's algorithm: RR matrices are the genomes, privacy (Eq. 8) and utility
-(Theorem 6) are the two objectives, the variation operators respect the
-column-stochastic constraint, a repair step enforces the worst-case bound
-``delta`` (Eq. 9), and an unbounded-cost *optimal set* Ω keeps every good
-matrix evicted from the bounded archive.
+paper's algorithm: ``(P, n, n)`` RR-matrix stacks are the genomes, privacy
+(Eq. 8) and utility (Theorem 6) are the two objectives, the variation
+operators respect the column-stochastic constraint, a repair step enforces
+the worst-case bound ``delta`` (Eq. 9), and an unbounded-cost *optimal set*
+Ω keeps every good matrix evicted from the bounded archive.  The optimizer
+runs SPEA2's generation step through the
+:class:`~repro.emoo.problem.Problem` interface and adds Ω around it.
 """
 
 from repro.core.config import OptRRConfig

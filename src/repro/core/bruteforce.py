@@ -9,7 +9,6 @@ the OptRR front should be close to the exhaustive front on such instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator
 
 import numpy as np
@@ -17,20 +16,22 @@ import numpy as np
 from repro.core.result import OptimizationResult, ParetoPoint
 from repro.core.search_space import brute_force_is_feasible, rr_matrix_combinations
 from repro.data.distribution import CategoricalDistribution
-from repro.emoo.dominance import non_dominated
-from repro.emoo.individual import Individual
+from repro.emoo.dominance import dominance_matrix_from_arrays
 from repro.exceptions import OptimizationError
 from repro.metrics.evaluation import MatrixEvaluator
 from repro.rr.matrix import RRMatrix
 from repro.utils.validation import check_positive_int
 
+#: Matrices evaluated per :meth:`MatrixEvaluator.evaluate_batch` call: large
+#: enough to amortise the per-call overhead, small enough to bound the
+#: ``(B, n, n)`` working set.
+CHUNK_SIZE = 4096
 
-def _grid_columns(n_categories: int, d: int) -> list[np.ndarray]:
-    """All probability columns whose entries are multiples of ``1/d``."""
-    columns: list[np.ndarray] = []
-    for combo in _compositions(d, n_categories):
-        columns.append(np.asarray(combo, dtype=np.float64) / d)
-    return columns
+
+def _grid_columns(n_categories: int, d: int) -> np.ndarray:
+    """All probability columns whose entries are multiples of ``1/d``, one
+    per row of the returned ``(C, n)`` array."""
+    return np.array(list(_compositions(d, n_categories)), dtype=np.float64) / d
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -101,32 +102,39 @@ def brute_force_front(
         )
     evaluator = MatrixEvaluator(prior, n_records, delta)
     columns = _grid_columns(n, d)
-    individuals: list[Individual] = []
-    n_enumerated = 0
+    grid_shape = (len(columns),) * n
+    n_enumerated = len(columns) ** n
     n_feasible = 0
-    for selection in product(range(len(columns)), repeat=n):
-        n_enumerated += 1
-        matrix_array = np.column_stack([columns[index] for index in selection])
-        matrix = RRMatrix(matrix_array)
-        evaluation = evaluator.evaluate(matrix)
-        if not evaluation.feasible:
-            continue
-        n_feasible += 1
-        individuals.append(
-            Individual(
-                genome=matrix,
-                objectives=np.array([-evaluation.privacy, evaluation.utility]),
-                feasible=True,
-                metadata={
-                    "privacy": evaluation.privacy,
-                    "utility": evaluation.utility,
-                    "max_posterior": evaluation.max_posterior,
-                },
-            )
-        )
-    front = non_dominated(individuals)
+    # Running front as (stack, privacy, utility, max_posterior) rows in
+    # enumeration order; each chunk's feasible rows are merged into it and
+    # dominated rows dropped (dominance is transitive, so this equals the
+    # front of all feasible matrices).
+    front = (np.empty((0, n, n)), np.empty(0), np.empty(0), np.empty(0))
+    for start in range(0, n_enumerated, CHUNK_SIZE):
+        flat = np.arange(start, min(start + CHUNK_SIZE, n_enumerated))
+        # selection[b, j] is the grid column used as column j of matrix b,
+        # with the last column varying fastest (itertools.product order).
+        selection = np.stack(np.unravel_index(flat, grid_shape), axis=1)
+        stack = np.swapaxes(columns[selection], 1, 2)
+        evaluation = evaluator.evaluate_batch(stack)
+        keep = np.flatnonzero(evaluation.feasible)
+        n_feasible += keep.size
+        chunk = (stack, evaluation.privacy, evaluation.utility, evaluation.max_posterior)
+        candidates = [np.concatenate([held, new[keep]]) for held, new in zip(front, chunk)]
+        objectives = np.stack([-candidates[1], candidates[2]], axis=1)
+        survivors = ~dominance_matrix_from_arrays(objectives).any(axis=0)
+        front = tuple(column[survivors] for column in candidates)
+    stack, privacy, utility, worst = front
     result = OptimizationResult(
-        points=tuple(ParetoPoint.from_individual(individual) for individual in front),
+        points=tuple(
+            ParetoPoint(
+                matrix=RRMatrix(stack[index]),
+                privacy=float(privacy[index]),
+                utility=float(utility[index]),
+                max_posterior=float(worst[index]),
+            )
+            for index in range(len(privacy))
+        ),
         n_generations=0,
         n_evaluations=n_enumerated,
     )

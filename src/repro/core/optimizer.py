@@ -14,18 +14,17 @@ The driver below follows the paper's algorithm outline:
    the evolving sets so good discarded solutions keep participating;
 7. *Termination*: a fixed generation budget and/or Ω-stagnation patience.
 
-The whole loop is array-native: population and archive are
-structure-of-arrays :class:`~repro.emoo.population.Population` objects whose
-``(P, n, n)`` genome stack is built once per generation by the batch
-evaluator and only sliced by index afterwards.  The pairwise
-objective-distance matrix is computed once per generation and shared between
-density estimation and archive truncation; mating selection reuses the
-fitness environmental selection just assigned (stamped per generation, so
-staleness is impossible) instead of re-running fitness assignment on the
-archive.  ``Individual`` objects appear only at the result boundary and
-inside Ω.  The pre-PR list-based loop is preserved verbatim outside the
-package, in the repository's ``oracles`` directory, for equivalence tests and
-benchmarks.
+Steps 1–5 are SPEA2's own generation step
+(:func:`repro.emoo.spea2.spea2_generation`) run on the
+:class:`~repro.core.problem.RRMatrixProblem`; this module adds step 6, the
+Warner-family seeding and the result boundary.  The whole loop is
+array-native: population and archive are structure-of-arrays
+:class:`~repro.emoo.population.Population` objects whose ``(P, n, n)``
+genome stack is built once per generation by the batch evaluator and only
+sliced by index afterwards.  ``Individual`` objects appear only at the
+result boundary and inside Ω.  The former list-based loop is preserved
+verbatim outside the package, in the repository's ``oracles`` directory, for
+equivalence tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -49,15 +48,10 @@ from repro.emoo.driver import (
 from repro.core.problem import SINGULAR_UTILITY_PENALTY, RRMatrixProblem
 from repro.core.result import OptimizationResult
 from repro.data.distribution import CategoricalDistribution
-from repro.emoo.density import pairwise_distances
-from repro.emoo.fidelity import FidelitySchedule, FidelityScheduler
-from repro.emoo.fitness import spea2_fitness_from_arrays
+from repro.emoo.fidelity import FidelitySchedule, FidelityScheduler, evaluate_offspring
 from repro.emoo.individual import Individual
 from repro.emoo.population import Population
-from repro.emoo.selection import (
-    binary_tournament_indices,
-    environmental_selection_indices,
-)
+from repro.emoo.spea2 import SPEA2Settings, spea2_generation
 from repro.emoo.termination import (
     MaxGenerations,
     StagnationTermination,
@@ -282,42 +276,6 @@ class OptRROptimizer:
             self._problem.repair_stack(stack), fidelity=fidelity
         )
 
-    def _make_offspring(
-        self, archive: Population, rng: np.random.Generator, generation: int
-    ) -> np.ndarray:
-        """Mating selection, crossover, mutation and bound repair, producing
-        the next population as a ``(population_size, n, n)`` stack.
-
-        Mating selection reuses the fitness stored by this generation's
-        environmental selection (the generation stamp guarantees freshness) —
-        the list-based loop redundantly re-assigned SPEA2 fitness to the
-        archive here every generation.
-        """
-        config = self.config
-        problem = self._problem
-        fitness = archive.require_fresh_fitness(generation)
-        parents = binary_tournament_indices(fitness, config.population_size, rng)
-        parent_stack = archive.genomes[parents]
-        n_parents = parent_stack.shape[0]
-        first_index = np.arange(0, n_parents, 2)
-        first = parent_stack[first_index]
-        second = parent_stack[(first_index + 1) % n_parents]
-        crossed = rng.random(size=first.shape[0]) < config.crossover_rate
-        child_a = first.copy()
-        child_b = second.copy()
-        if crossed.any():
-            cross_a, cross_b = problem.crossover_stack(first[crossed], second[crossed], rng)
-            child_a[crossed] = cross_a
-            child_b[crossed] = cross_b
-        children = np.empty((2 * first.shape[0], *parent_stack.shape[1:]))
-        children[0::2] = child_a
-        children[1::2] = child_b
-        children = children[: config.population_size]
-        mutated = rng.random(size=children.shape[0]) < config.mutation_rate
-        if mutated.any():
-            children[mutated] = problem.mutate_stack(children[mutated], rng)
-        return problem.repair_stack(children)
-
     def _refresh_from_optimal_set(
         self, population: Population, optimal_set: OptimalSet
     ) -> None:
@@ -352,9 +310,9 @@ class _OptRRSteppable(SteppableOptimization):
     """The OptRR generation loop decomposed for the stepwise driver.
 
     Holds the evolving state (population, archive, optimal set Ω) between
-    :meth:`step` calls; the variation/selection internals stay on
-    :class:`OptRROptimizer`.  The RNG draw order is identical to the former
-    monolithic ``run()`` loop, so fixed-seed trajectories are unchanged.
+    :meth:`step` calls.  Each step is SPEA2's generation step plus the Ω
+    update; the RNG draw order is identical to the former monolithic
+    ``run()`` loop, so fixed-seed trajectories are unchanged.
     """
 
     algorithm_name = "optrr"
@@ -362,7 +320,16 @@ class _OptRRSteppable(SteppableOptimization):
     def __init__(self, optimizer: OptRROptimizer) -> None:
         self._optimizer = optimizer
         self._problem = optimizer.problem
-        self._config = optimizer.config
+        self._config = config = optimizer.config
+        # Steps 1-5 run with SPEA2's own settings type, filled from the
+        # OptRR configuration (the same fields, validated the same way).
+        self._settings = SPEA2Settings(
+            population_size=config.population_size,
+            archive_size=config.archive_size,
+            crossover_rate=config.crossover_rate,
+            mutation_rate=config.mutation_rate,
+            density_k=config.density_k,
+        )
         self.population: Population | None = None
         self.archive: Population | None = None
         self.optimal_set: OptimalSet | None = None
@@ -370,12 +337,12 @@ class _OptRRSteppable(SteppableOptimization):
         # when the configuration actually reduces the fidelity, so disabled
         # runs keep the exact single-fidelity code path and checkpoint layout.
         self.fidelity: FidelityScheduler | None = None
-        if optimizer.config.low_fidelity_fraction < 1.0:
+        if config.low_fidelity_fraction < 1.0:
             self.fidelity = FidelityScheduler(
                 FidelitySchedule(
-                    low_fidelity=optimizer.config.low_fidelity_fraction,
-                    promotion_fraction=optimizer.config.promotion_fraction,
-                    min_fidelity=optimizer.config.min_fidelity,
+                    low_fidelity=config.low_fidelity_fraction,
+                    promotion_fraction=config.promotion_fraction,
+                    min_fidelity=config.min_fidelity,
                 )
             )
         # The workload identity is immutable; cache its serializations so
@@ -390,7 +357,7 @@ class _OptRRSteppable(SteppableOptimization):
         # metadata column (Population.concat requires identical key sets);
         # the setup populations are evaluated at full fidelity.
         setup_fidelity = 1.0 if self.fidelity is not None else None
-        population = self._problem.initial_population_soa(
+        population = self._problem.initial_population(
             config.population_size, rng, fidelity=setup_fidelity
         )
         baseline = optimizer._baseline_seed_population(rng, fidelity=setup_fidelity)
@@ -411,33 +378,20 @@ class _OptRRSteppable(SteppableOptimization):
 
     def step(self, rng: np.random.Generator, generation: int) -> StepOutcome:
         optimizer = self._optimizer
-        config = self._config
         problem = self._problem
         optimal_set = self.optimal_set
-        # 1-2. Fitness assignment + environmental selection on Q_t + V_t.
-        # The pairwise distance matrix is computed once and shared between
-        # the density estimator and (via slicing) archive truncation.
+        # 1-5. SPEA2's generation step: fitness assignment + environmental
+        # selection on Q_t + V_t, mating selection, crossover, mutation and
+        # bound repair — the whole offspring generation is one (B, n, n) stack.
         union = (
             self.population
             if self.archive is None
             else Population.concat(self.population, self.archive)
         )
-        distances = pairwise_distances(union.objectives)
-        _, _, fitness = spea2_fitness_from_arrays(
-            union.objectives, union.feasible, config.density_k, distances=distances
+        archive, offspring_stack = spea2_generation(
+            problem, union, self._settings, rng, generation
         )
-        selected = environmental_selection_indices(
-            fitness, config.archive_size, distances=distances
-        )
-        archive = union.take(selected)
-        archive.set_fitness(fitness[selected], generation)
-        # 3-5. Mating selection, crossover, mutation, bound repair — the
-        # whole offspring generation moves as one (B, n, n) stack.
-        offspring_stack = optimizer._make_offspring(archive, rng, generation)
-        if self.fidelity is None:
-            population = problem.evaluate_population(offspring_stack)
-        else:
-            population = self.fidelity.evaluate_stack(problem, offspring_stack)
+        population, _ = evaluate_offspring(problem, offspring_stack, self.fidelity)
         # 6. Update the three sets: Ω absorbs the new generation, and the
         # archive/population are refreshed with Ω's best matrices for the
         # privacy levels they already occupy.  Low-fidelity rows carry
@@ -483,6 +437,7 @@ class _OptRRSteppable(SteppableOptimization):
             # No feasible matrix was ever found (possible only with an
             # extremely tight delta); fall back to the archive so the caller
             # still gets diagnostics.
+            assert self.archive is not None  # finish() follows at least one step
             front = self._problem.population_to_individuals(self.archive)
         return OptimizationResult.from_individuals(
             front,
@@ -492,6 +447,7 @@ class _OptRRSteppable(SteppableOptimization):
         )
 
     def elite_individuals(self) -> list[Individual]:
+        assert self.archive is not None  # the driver steps before asking
         return self._problem.population_to_individuals(self.archive)
 
     def hypervolume_reference(self) -> tuple[float, float]:

@@ -1,23 +1,22 @@
 """The RR-matrix optimization problem plugged into the EMOO engine.
 
-Genomes are :class:`~repro.rr.matrix.RRMatrix` objects; the two minimised
-objectives are ``(-privacy, utility)``; the variation operators are the
-paper's column crossover and proportional column mutation; and the repair
-step enforces the worst-case privacy bound ``delta`` when one is configured.
+Genomes are ``(P, n, n)`` stacks of column-stochastic RR matrices; the two
+minimised objectives are ``(-privacy, utility)``; the variation operators are
+the paper's column crossover and proportional column mutation; and the
+repair step enforces the worst-case privacy bound ``delta`` when one is
+configured.
 
-Evaluation and repair run through the batch engine: whole populations are
-stacked into ``(B, n, n)`` arrays and evaluated with
-:meth:`~repro.metrics.evaluation.MatrixEvaluator.evaluate_batch` /
-:func:`~repro.core.operators.enforce_privacy_bound_batch`.  The per-genome
-:class:`~repro.emoo.problem.Problem` methods (``evaluate``, ``crossover``,
-``mutate``, ``repair``) are batches of one through the same engine, so the
-operator math exists once, in the backend kernels.
+Every :class:`~repro.emoo.problem.Problem` method works on whole stacks
+through the batch engine
+(:meth:`~repro.metrics.evaluation.MatrixEvaluator.evaluate_batch`, the
+batched operators in :mod:`repro.core.operators`), so the operator math
+exists once, in the backend kernels.  :class:`~repro.rr.matrix.RRMatrix`
+objects appear only in the ``Individual`` views of the result boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from repro.emoo.individual import Individual
 from repro.emoo.population import Population
 from repro.emoo.problem import Problem
 from repro.metrics.evaluation import MatrixEvaluator
-from repro.rr.matrix import RRMatrix, stack_matrices, unstack_matrices
+from repro.rr.matrix import RRMatrix
 from repro.utils.validation import check_in_unit_interval, check_positive_int
 
 #: Finite utility penalty substituted for the infinite MSE of non-invertible
@@ -140,56 +139,6 @@ class RRMatrixProblem(Problem):
             "diagonal_bias": self.diagonal_bias,
         }
 
-    def genome_to_data(self, genome) -> dict:
-        """Checkpoint codec: RR matrices serialize as base64 byte arrays."""
-        if isinstance(genome, RRMatrix):
-            from repro.utils.arrays import encode_array
-
-            return {"kind": "rr_matrix", "array": encode_array(genome.probabilities)}
-        return super().genome_to_data(genome)
-
-    def genome_from_data(self, data) -> RRMatrix:
-        """Rebuild an :class:`RRMatrix` genome from :meth:`genome_to_data`
-        output (through the trusted ``from_validated`` path: the bytes came
-        from a matrix this engine already validated)."""
-        if isinstance(data, dict) and data.get("kind") == "rr_matrix":
-            from repro.utils.arrays import decode_array
-
-            return RRMatrix.from_validated(decode_array(data["array"]))
-        return super().genome_from_data(data)
-
-    def random_genome(self, rng: np.random.Generator) -> RRMatrix:
-        """Create a random RR matrix, cycling through plain random,
-        diagonally-biased and near-uniform draws so the initial front spans
-        the whole privacy/utility trade-off."""
-        self._counter += 1
-        matrix = random_initial_matrix(
-            self.n_categories, rng, kind=self._counter, diagonal_bias=self.diagonal_bias
-        )
-        return self.repair(matrix, rng)
-
-    def initial_population(self, size: int, rng: np.random.Generator) -> list[Individual]:
-        """``Individual`` views of :meth:`initial_population_soa`."""
-        return self.population_to_individuals(self.initial_population_soa(size, rng))
-
-    def evaluate(self, genome: RRMatrix) -> Individual:
-        """Evaluate a matrix into an individual with objectives
-        ``(-privacy, utility)`` (a batch of one)."""
-        return self.evaluate_genomes([genome])[0]
-
-    def evaluate_genomes(
-        self,
-        genomes: Sequence[RRMatrix],
-        *,
-        fidelity: float | np.ndarray | None = None,
-    ) -> list[Individual]:
-        """``Individual`` views of :meth:`evaluate_population` over a list of
-        matrices."""
-        if not genomes:
-            return []
-        population = self.evaluate_population(stack_matrices(list(genomes)), fidelity=fidelity)
-        return self.population_to_individuals(population)
-
     def evaluate_population(
         self,
         stack: np.ndarray,
@@ -203,8 +152,8 @@ class RRMatrixProblem(Problem):
         linear algebra, and the stack itself becomes the population's genome
         array — no per-matrix ``RRMatrix`` construction or re-validation
         happens inside the generation loop.  ``Individual`` views (with
-        validated :class:`RRMatrix` genomes) are materialised only at the
-        result boundary via :meth:`population_individual`.
+        :class:`RRMatrix` genomes) are materialised only at the result
+        boundary via :meth:`population_individual`.
 
         ``fidelity`` (a scalar or per-row column in ``(0, 1]``) evaluates the
         stack at reduced fidelity (see :meth:`MatrixEvaluator.evaluate_batch`)
@@ -244,7 +193,7 @@ class RRMatrixProblem(Problem):
         """Materialise a whole population as ``Individual`` views."""
         return population.to_individuals(genome_builder=RRMatrix.from_validated)
 
-    def initial_population_soa(
+    def initial_population(
         self,
         size: int,
         rng: np.random.Generator,
@@ -254,9 +203,10 @@ class RRMatrixProblem(Problem):
         """Create, batch-repair and batch-evaluate ``size`` random genomes
         into a structure-of-arrays population.
 
-        The draws happen sequentially (same stream as :meth:`random_genome`
-        one genome at a time); the matrices are stacked once and never
-        unpacked.
+        The draws happen sequentially, cycling through plain random,
+        diagonally-biased and near-uniform matrices so the initial front
+        spans the whole privacy/utility trade-off; the matrices are stacked
+        once and never unpacked.
         """
         check_positive_int(size, "size")
         raw = np.empty((size, self.n_categories, self.n_categories))
@@ -270,36 +220,7 @@ class RRMatrixProblem(Problem):
             ).probabilities
         return self.evaluate_population(self.repair_stack(raw), fidelity=fidelity)
 
-    # -- per-genome operators: batches of one ---------------------------------
-    def crossover(
-        self, first: RRMatrix, second: RRMatrix, rng: np.random.Generator
-    ) -> tuple[RRMatrix, RRMatrix]:
-        """The paper's column-boundary crossover."""
-        child_a, child_b = self.crossover_stack(
-            first.probabilities[None], second.probabilities[None], rng
-        )
-        return RRMatrix.from_validated(child_a[0]), RRMatrix.from_validated(child_b[0])
-
-    def mutate(self, genome: RRMatrix, rng: np.random.Generator) -> RRMatrix:
-        """The paper's proportional column mutation."""
-        return RRMatrix.from_validated(self.mutate_stack(genome.probabilities[None], rng)[0])
-
-    def repair(self, genome: RRMatrix, rng: np.random.Generator) -> RRMatrix:
-        """Enforce the privacy bound when one is configured (Section V-G)."""
-        if self.delta is None:
-            return genome
-        return RRMatrix.from_validated(self.repair_stack(genome.probabilities[None])[0])
-
-    def repair_genomes(
-        self, genomes: Sequence[RRMatrix], rng: np.random.Generator
-    ) -> list[RRMatrix]:
-        """Batch bound-repair for a list of matrices."""
-        genomes = list(genomes)
-        if self.delta is None or not genomes:
-            return genomes
-        return unstack_matrices(self.repair_stack(stack_matrices(genomes)))
-
-    # -- stacked variation (used by the batched offspring pipeline) ------------
+    # -- stacked variation (see repro.emoo.problem.make_offspring) ------------
     def crossover_stack(
         self, first: np.ndarray, second: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -311,7 +232,8 @@ class RRMatrixProblem(Problem):
         return proportional_column_mutation_batch(stack, rng, scale=self.mutation_scale)
 
     def repair_stack(self, stack: np.ndarray) -> np.ndarray:
-        """Batched bound repair; identity when no ``delta`` is configured."""
+        """Batched bound repair (Section V-G); identity when no ``delta`` is
+        configured."""
         if self.delta is None:
             return stack
         return enforce_privacy_bound_batch(stack, self.prior.probabilities, self.delta)

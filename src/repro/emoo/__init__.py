@@ -4,10 +4,12 @@ A generic implementation of SPEA2 (the algorithm the paper builds on),
 together with the NSGA-II and weighted-sum baselines used by the ablation
 benchmarks, Pareto dominance utilities and front-quality indicators.
 
-The package is problem-agnostic: a problem supplies genome creation,
-variation operators and an objective function through the
-:class:`~repro.emoo.problem.Problem` interface, and the algorithms work on
-opaque genomes.  ``repro.core`` instantiates it with RR matrices as genomes.
+The package is problem-agnostic: a problem creates, evaluates, varies and
+repairs whole genome stacks through the :class:`~repro.emoo.problem.Problem`
+interface, and the algorithms only slice those stacks by index.
+``repro.core`` instantiates it with ``(P, n, n)`` RR-matrix stacks, and its
+OptRR optimizer runs SPEA2's own generation step
+(:func:`~repro.emoo.spea2.spea2_generation`) plus the Ω optimal set.
 """
 
 from repro.emoo.individual import Individual

@@ -445,85 +445,37 @@ class OptimizationDriver:
 
 
 # -- population serialization --------------------------------------------------
-def population_to_document(population: Population, problem: Any = None) -> dict[str, Any]:
-    """Serialize a :class:`~repro.emoo.population.Population` bit-exactly.
-
-    Array-native populations (the RR path) store their columns as base64
-    byte arrays.  Source-backed populations (the generic SPEA2/NSGA-II path,
-    where genomes are opaque) serialize per-individual through the problem's
-    genome codec (:meth:`repro.emoo.problem.Problem.genome_to_data`);
-    individual metadata must be JSON-compatible scalars.
-    """
-    if population.source is None:
-        return {
-            "layout": "arrays",
-            "genomes": encode_array(population.genomes),
-            "objectives": encode_array(population.objectives),
-            "feasible": encode_array(population.feasible),
-            "metadata": {
-                key: encode_array(column) for key, column in population.metadata.items()
-            },
-            "fitness": encode_array(population.fitness),
-            "fitness_generation": population.fitness_generation,
-        }
-    if problem is None:
-        raise OptimizationError(
-            "serializing a source-backed population needs the problem's genome codec"
-        )
-    individuals = [
-        {
-            "genome": problem.genome_to_data(individual.genome),
-            "objectives": encode_array(individual.objectives),
-            "feasible": bool(individual.feasible),
-            "metadata": {
-                key: (value.item() if isinstance(value, np.generic) else value)
-                for key, value in individual.metadata.items()
-            },
-        }
-        for individual in population.source
-    ]
+def population_to_document(population: Population) -> dict[str, Any]:
+    """Serialize a :class:`~repro.emoo.population.Population` bit-exactly:
+    every column is stored as a base64 byte array."""
     return {
-        "layout": "individuals",
-        "individuals": individuals,
+        "layout": "arrays",
+        "genomes": encode_array(population.genomes),
+        "objectives": encode_array(population.objectives),
+        "feasible": encode_array(population.feasible),
+        "metadata": {
+            key: encode_array(column) for key, column in population.metadata.items()
+        },
         "fitness": encode_array(population.fitness),
         "fitness_generation": population.fitness_generation,
     }
 
 
-def population_from_document(document: dict[str, Any], problem: Any = None) -> Population:
+def population_from_document(document: dict[str, Any]) -> Population:
     """Rebuild a population from :func:`population_to_document` output."""
     layout = document.get("layout")
-    if layout == "arrays":
-        return Population(
-            genomes=decode_array(document["genomes"]),
-            objectives=decode_array(document["objectives"]),
-            feasible=decode_array(document["feasible"]),
-            metadata={
-                key: decode_array(column)
-                for key, column in document.get("metadata", {}).items()
-            },
-            fitness=decode_array(document["fitness"]),
-            fitness_generation=int(document.get("fitness_generation", -1)),
-        )
-    if layout == "individuals":
-        if problem is None:
-            raise OptimizationError(
-                "restoring a source-backed population needs the problem's genome codec"
-            )
-        individuals = [
-            Individual(
-                genome=problem.genome_from_data(entry["genome"]),
-                objectives=decode_array(entry["objectives"]),
-                feasible=bool(entry["feasible"]),
-                metadata=dict(entry.get("metadata", {})),
-            )
-            for entry in document.get("individuals", [])
-        ]
-        population = Population.from_individuals(individuals)
-        population.fitness = decode_array(document["fitness"])
-        population.fitness_generation = int(document.get("fitness_generation", -1))
-        return population
-    raise ValidationError(f"unknown population layout {layout!r}")
+    if layout != "arrays":
+        raise ValidationError(f"unknown population layout {layout!r}")
+    return Population(
+        genomes=decode_array(document["genomes"]),
+        objectives=decode_array(document["objectives"]),
+        feasible=decode_array(document["feasible"]),
+        metadata={
+            key: decode_array(column) for key, column in document.get("metadata", {}).items()
+        },
+        fitness=decode_array(document["fitness"]),
+        fitness_generation=int(document.get("fitness_generation", -1)),
+    )
 
 
 def workload_fingerprint(payload: dict[str, Any]) -> str:

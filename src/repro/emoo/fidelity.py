@@ -27,16 +27,13 @@ state_document`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.emoo.dominance import pareto_ranks_from_arrays
-from repro.emoo.individual import Individual, objectives_array
 from repro.exceptions import OptimizationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.core.problem import RRMatrixProblem
     from repro.emoo.population import Population
     from repro.emoo.problem import Problem
 
@@ -125,24 +122,21 @@ class FidelityScheduler:
         count = self.promotion_count(size)
         if count >= size:
             return np.arange(size)
-        from repro.emoo.nsga2 import crowding_distances_from_objectives
+        from repro.emoo.nsga2 import rank_and_crowd
 
-        ranks = pareto_ranks_from_arrays(objectives, feasible)
-        crowding = np.zeros(size)
-        for rank in range(int(ranks.max()) + 1):
-            front = np.flatnonzero(ranks == rank)
-            crowding[front] = crowding_distances_from_objectives(objectives[front])
+        ranks, crowding = rank_and_crowd(objectives, feasible)
         order = np.lexsort((np.arange(size), -crowding, ranks))
         return np.sort(order[:count])
 
-    # -- evaluation paths ----------------------------------------------------
-    def evaluate_stack(self, problem: "RRMatrixProblem", stack: np.ndarray) -> "Population":
-        """Low-fidelity evaluate a ``(B, n, n)`` matrix stack, promote the
+    # -- evaluation --------------------------------------------------------
+    def evaluate_stack(self, problem: "Problem", stack: np.ndarray) -> "Population":
+        """Low-fidelity evaluate a ``(B, ...)`` genome stack, promote the
         top fraction and splice their full-fidelity rows back in.
 
-        Every returned row carries a ``fidelity`` metadata column (promoted
-        rows at 1.0), so archive offers can be restricted to full-fidelity
-        rows.
+        The problem must support the ``fidelity`` keyword of
+        :meth:`~repro.emoo.problem.Problem.evaluate_population`.  Every
+        returned row carries its ``fidelity`` metadata column (promoted rows
+        at 1.0), so archive offers can be restricted to full-fidelity rows.
         """
         population = problem.evaluate_population(stack, fidelity=self.current_low_fidelity)
         promote = self.promote_indices(population.objectives, population.feasible)
@@ -154,27 +148,6 @@ class FidelityScheduler:
         self.n_low_evaluations += int(population.size)
         self.n_full_evaluations += int(promote.size)
         return population
-
-    def evaluate_individuals(
-        self, problem: "Problem", genomes: Sequence[Any]
-    ) -> list[Individual]:
-        """Genome-list counterpart of :meth:`evaluate_stack` for the generic
-        SPEA2/NSGA-II engines (problems must support the ``fidelity``
-        keyword of :meth:`~repro.emoo.problem.Problem.evaluate_genomes`)."""
-        genomes = list(genomes)
-        individuals = problem.evaluate_genomes(
-            genomes, fidelity=self.current_low_fidelity
-        )
-        feasible = np.array([ind.feasible for ind in individuals], dtype=bool)
-        promote = self.promote_indices(objectives_array(individuals), feasible)
-        promoted = problem.evaluate_genomes(
-            [genomes[int(index)] for index in promote], fidelity=1.0
-        )
-        for slot, individual in zip(promote, promoted):
-            individuals[int(slot)] = individual
-        self.n_low_evaluations += len(individuals)
-        self.n_full_evaluations += int(promote.size)
-        return individuals
 
     # -- deadline adaptation -------------------------------------------------
     def adapt(self, elapsed_seconds: float, deadline_seconds: float | None) -> None:
@@ -212,3 +185,16 @@ class FidelityScheduler:
         )
         self.n_low_evaluations = int(document.get("n_low_evaluations", 0))
         self.n_full_evaluations = int(document.get("n_full_evaluations", 0))
+
+
+def evaluate_offspring(
+    problem: "Problem", stack: np.ndarray, scheduler: FidelityScheduler | None
+) -> tuple["Population", int]:
+    """Evaluate an offspring stack — exactly, or through the scheduler's
+    low-fidelity pass and promotion when one is active — and return the
+    population with the number of evaluations it cost."""
+    if scheduler is None:
+        return problem.evaluate_population(stack), int(stack.shape[0])
+    spent = scheduler.n_low_evaluations + scheduler.n_full_evaluations
+    population = scheduler.evaluate_stack(problem, stack)
+    return population, scheduler.n_low_evaluations + scheduler.n_full_evaluations - spent

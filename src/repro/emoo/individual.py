@@ -1,8 +1,10 @@
-"""The individual abstraction used by all EMOO algorithms.
+"""The per-candidate view at the EMOO result boundary.
 
-An :class:`Individual` wraps an opaque genome together with its objective
-vector (minimisation convention), an optional feasibility flag, and the
-bookkeeping fields (fitness, density, rank) written by the algorithms.
+An :class:`Individual` wraps one genome together with its objective vector
+(minimisation convention), an optional feasibility flag, and the bookkeeping
+fields (fitness, density, rank) written by the algorithms.  The generation
+loops work on structure-of-arrays populations; individuals are materialised
+for results, callbacks and the Ω optimal set.
 """
 
 from __future__ import annotations

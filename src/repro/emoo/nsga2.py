@@ -24,12 +24,11 @@ from repro.emoo.driver import (
     population_to_document,
     workload_fingerprint,
 )
-from repro.emoo.fidelity import FidelitySchedule, FidelityScheduler
+from repro.emoo.fidelity import FidelitySchedule, FidelityScheduler, evaluate_offspring
 from repro.emoo.individual import Individual
 from repro.emoo.population import Population
-from repro.emoo.problem import Problem
+from repro.emoo.problem import Problem, make_offspring
 from repro.emoo.termination import MaxGenerations, TerminationCriterion
-from repro.exceptions import OptimizationError
 from repro.types import SeedLike, as_rng
 from repro.utils.arrays import decode_array, encode_array
 from repro.utils.validation import check_in_unit_interval, check_positive_int
@@ -85,14 +84,27 @@ def crowding_distances_from_objectives(objectives: np.ndarray) -> np.ndarray:
     return distances
 
 
+def rank_and_crowd(
+    objectives: np.ndarray, feasible: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pareto ranks and per-front crowding distances of every row — the
+    ordering NSGA-II survives by (also the fidelity promotion order)."""
+    ranks = pareto_ranks_from_arrays(objectives, feasible)
+    crowding = np.zeros(ranks.size)
+    for rank in range(int(ranks.max()) + 1 if ranks.size else 0):
+        front_index = np.flatnonzero(ranks == rank)
+        crowding[front_index] = crowding_distances_from_objectives(objectives[front_index])
+    return ranks, crowding
+
+
 @dataclass
 class NSGA2:
     """The NSGA-II evolutionary multi-objective optimizer.
 
     ``fidelity`` optionally enables multi-fidelity offspring evaluation with
     promotion of the top fraction (see :mod:`repro.emoo.fidelity`); it
-    requires a problem whose ``evaluate_genomes`` supports the ``fidelity``
-    keyword, and ``None`` keeps the exact single-fidelity path.
+    requires a problem whose ``evaluate_population`` supports the
+    ``fidelity`` keyword, and ``None`` keeps the exact single-fidelity path.
     """
 
     problem: Problem
@@ -143,19 +155,6 @@ class NSGA2:
         )
 
     # -- internals -----------------------------------------------------------
-    def _rank_and_crowd_arrays(
-        self, population: Population
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Pareto ranks and per-front crowding distances as arrays."""
-        ranks = pareto_ranks_from_arrays(population.objectives, population.feasible)
-        crowding = np.zeros(population.size)
-        for rank in range(int(ranks.max()) + 1 if ranks.size else 0):
-            front_index = np.flatnonzero(ranks == rank)
-            crowding[front_index] = crowding_distances_from_objectives(
-                population.objectives[front_index]
-            )
-        return ranks, crowding
-
     def _select_next_generation(
         self, union: Population
     ) -> tuple[Population, np.ndarray, np.ndarray]:
@@ -163,21 +162,18 @@ class NSGA2:
         on crowding distance; returns the survivors with their rank and
         crowding arrays (aligned to the returned population)."""
         target = self.settings.population_size
-        ranks = pareto_ranks_from_arrays(union.objectives, union.feasible)
-        crowding = np.zeros(union.size)
+        ranks, crowding = rank_and_crowd(union.objectives, union.feasible)
         chosen: list[np.ndarray] = []
         n_chosen = 0
         for rank in range(int(ranks.max()) + 1):
             front_index = np.flatnonzero(ranks == rank)
-            distances = crowding_distances_from_objectives(union.objectives[front_index])
-            crowding[front_index] = distances
             if n_chosen + front_index.size <= target:
                 chosen.append(front_index)
                 n_chosen += front_index.size
             else:
                 # Stable sort on negated crowding keeps original order between
                 # ties, matching the list.sort(reverse=True) it replaces.
-                order = np.argsort(-distances, kind="stable")
+                order = np.argsort(-crowding[front_index], kind="stable")
                 chosen.append(front_index[order[: target - n_chosen]])
                 n_chosen = target
             if n_chosen >= target:
@@ -191,38 +187,20 @@ class NSGA2:
         ranks: np.ndarray,
         crowding: np.ndarray,
         rng: np.random.Generator,
-    ) -> list:
-        """Crowded-tournament mating selection + crossover + mutation.
-
-        All tournament pairs and the crossover/mutation decision masks are
-        drawn up front in vectorized steps (one ``integers`` call for the
-        parents, one ``random`` call per mask); genome variation stays
-        per-pair because genomes are opaque at this layer.
-        """
+    ) -> np.ndarray:
+        """Crowded-tournament mating selection (every tournament drawn and
+        decided in one vectorized step), then the shared batched variation
+        (:func:`~repro.emoo.problem.make_offspring`)."""
         settings = self.settings
-        n_pairs = (settings.population_size + 1) // 2
-        contenders = rng.integers(0, population.size, size=(2 * n_pairs, 2))
+        contenders = rng.integers(0, population.size, size=(settings.population_size, 2))
         winners = self._crowded_winners(contenders, ranks, crowding)
-        crossed = rng.random(size=n_pairs) < settings.crossover_rate
-        genomes = []
-        for pair in range(n_pairs):
-            first = population.genome_at(winners[2 * pair])
-            second = population.genome_at(winners[2 * pair + 1])
-            if crossed[pair]:
-                child_a, child_b = self.problem.crossover(first, second, rng)
-            else:
-                child_a, child_b = first, second
-            genomes.extend([child_a, child_b])
-        genomes = genomes[: settings.population_size]
-        mutated_mask = rng.random(size=len(genomes)) < settings.mutation_rate
-        finished = []
-        for index, genome in enumerate(genomes):
-            if mutated_mask[index]:
-                genome = self.problem.mutate(genome, rng)
-            finished.append(genome)
-        # Repair runs over the whole offspring list at once so batch-capable
-        # problems (RR matrices) vectorize it.
-        return self.problem.repair_genomes(finished, rng)
+        return make_offspring(
+            self.problem,
+            population.genomes[winners],
+            rng,
+            crossover_rate=settings.crossover_rate,
+            mutation_rate=settings.mutation_rate,
+        )
 
     @staticmethod
     def _crowded_winners(
@@ -260,32 +238,21 @@ class _NSGA2Steppable(SteppableOptimization):
 
     def setup(self, rng: np.random.Generator) -> None:
         algorithm = self._algorithm
-        initial = algorithm.problem.initial_population(
-            algorithm.settings.population_size, rng
+        self.population = algorithm.problem.initial_population(
+            algorithm.settings.population_size,
+            rng,
+            fidelity=1.0 if self.fidelity is not None else None,
         )
-        if not initial:
-            raise OptimizationError("the problem produced an empty initial population")
-        self.population = Population.from_individuals(initial)
-        self.ranks, self.crowding = algorithm._rank_and_crowd_arrays(self.population)
+        self.ranks, self.crowding = rank_and_crowd(
+            self.population.objectives, self.population.feasible
+        )
         self.n_evaluations = self.population.size
 
     def step(self, rng: np.random.Generator, generation: int) -> StepOutcome:
         algorithm = self._algorithm
-        offspring_genomes = algorithm._make_offspring(
-            self.population, self.ranks, self.crowding, rng
-        )
-        if self.fidelity is None:
-            individuals = algorithm.problem.evaluate_genomes(offspring_genomes)
-            self.n_evaluations += len(individuals)
-        else:
-            spent = self.fidelity.n_low_evaluations + self.fidelity.n_full_evaluations
-            individuals = self.fidelity.evaluate_individuals(
-                algorithm.problem, offspring_genomes
-            )
-            self.n_evaluations += (
-                self.fidelity.n_low_evaluations + self.fidelity.n_full_evaluations - spent
-            )
-        offspring = Population.from_individuals(individuals)
+        stack = algorithm._make_offspring(self.population, self.ranks, self.crowding, rng)
+        offspring, spent = evaluate_offspring(algorithm.problem, stack, self.fidelity)
+        self.n_evaluations += spent
         union = Population.concat(self.population, offspring)
         self.population, self.ranks, self.crowding = algorithm._select_next_generation(
             union
@@ -315,7 +282,7 @@ class _NSGA2Steppable(SteppableOptimization):
 
     def elite_individuals(self) -> list[Individual]:
         # Result boundary: materialise views with their rank/crowding fields.
-        individuals = self.population.to_individuals()
+        individuals = self._algorithm.problem.population_to_individuals(self.population)
         for index, individual in enumerate(individuals):
             individual.rank = int(self.ranks[index])
             individual.crowding = float(self.crowding[index])
@@ -337,7 +304,7 @@ class _NSGA2Steppable(SteppableOptimization):
 
     def state_document(self) -> dict:
         document = {
-            "population": population_to_document(self.population, self._algorithm.problem),
+            "population": population_to_document(self.population),
             "ranks": encode_array(self.ranks),
             "crowding": encode_array(self.crowding),
             "n_evaluations": self.n_evaluations,
@@ -347,9 +314,7 @@ class _NSGA2Steppable(SteppableOptimization):
         return document
 
     def restore_state(self, document: dict) -> None:
-        self.population = population_from_document(
-            document["population"], self._algorithm.problem
-        )
+        self.population = population_from_document(document["population"])
         self.ranks = decode_array(document["ranks"])
         self.crowding = decode_array(document["crowding"])
         self.n_evaluations = int(document["n_evaluations"])

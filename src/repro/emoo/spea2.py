@@ -3,10 +3,12 @@
 This is the engine the paper customises.  The algorithm keeps two bounded
 sets — a *population* of freshly generated offspring and an *archive* of the
 best solutions seen so far — and iterates fitness assignment, environmental
-selection, mating selection, crossover and mutation.  The OptRR-specific
-additions (the Ω optimal set, the bound-repair step and the RR-matrix
-operators) live in :mod:`repro.core`, which drives this engine through the
-:class:`~repro.emoo.problem.Problem` interface and the per-generation hook.
+selection, mating selection, crossover and mutation.  Those steps 1–5 exist
+once, as :func:`spea2_environmental_selection` and :func:`spea2_generation`;
+:class:`SPEA2` runs them on any :class:`~repro.emoo.problem.Problem`, and the
+OptRR optimizer (:mod:`repro.core.optimizer`) runs the same
+:func:`spea2_generation` on the RR-matrix problem and adds the Ω optimal set
+and the Warner seeding around it.
 """
 
 from __future__ import annotations
@@ -27,17 +29,16 @@ from repro.emoo.driver import (
     population_to_document,
     workload_fingerprint,
 )
-from repro.emoo.fidelity import FidelitySchedule, FidelityScheduler
+from repro.emoo.fidelity import FidelitySchedule, FidelityScheduler, evaluate_offspring
 from repro.emoo.fitness import spea2_fitness_from_arrays
 from repro.emoo.individual import Individual
 from repro.emoo.population import Population
-from repro.emoo.problem import Problem
+from repro.emoo.problem import Problem, make_offspring
 from repro.emoo.selection import (
     binary_tournament_indices,
     environmental_selection_indices,
 )
 from repro.emoo.termination import MaxGenerations, TerminationCriterion
-from repro.exceptions import OptimizationError
 from repro.types import SeedLike, as_rng
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_in_unit_interval, check_positive_int
@@ -81,6 +82,55 @@ class SPEA2Settings:
         check_positive_int(self.density_k, "density_k")
 
 
+def spea2_environmental_selection(
+    union: Population, settings: SPEA2Settings, generation: int
+) -> Population:
+    """Steps 1–2: fitness assignment over ``union`` and environmental
+    selection into the archive, stamped with ``generation`` so mating
+    selection reuses the fitness instead of re-assigning it.
+
+    The pairwise objective-distance matrix is computed once and shared
+    between the density estimator and (via slicing) archive truncation.
+    """
+    distances = pairwise_distances(union.objectives)
+    _, _, fitness = spea2_fitness_from_arrays(
+        union.objectives, union.feasible, settings.density_k, distances=distances
+    )
+    selected = environmental_selection_indices(
+        fitness, settings.archive_size, distances=distances
+    )
+    archive = union.take(selected)
+    archive.set_fitness(fitness[selected], generation)
+    return archive
+
+
+def spea2_generation(
+    problem: Problem,
+    union: Population,
+    settings: SPEA2Settings,
+    rng: np.random.Generator,
+    generation: int,
+) -> tuple[Population, np.ndarray]:
+    """SPEA2 steps 1–5 for one generation: environmental selection over the
+    ``union`` of population and archive, binary-tournament mating selection
+    on the stamped archive fitness, and the shared batched variation and
+    repair.
+
+    Returns the new archive and the (unevaluated) offspring genome stack.
+    """
+    archive = spea2_environmental_selection(union, settings, generation)
+    fitness = archive.require_fresh_fitness(generation)
+    winners = binary_tournament_indices(fitness, settings.population_size, rng)
+    offspring = make_offspring(
+        problem,
+        archive.genomes[winners],
+        rng,
+        crossover_rate=settings.crossover_rate,
+        mutation_rate=settings.mutation_rate,
+    )
+    return archive, offspring
+
+
 @dataclass
 class SPEA2Result:
     """Outcome of a SPEA2 run.
@@ -121,7 +171,7 @@ class SPEA2:
         Optional multi-fidelity schedule (see :mod:`repro.emoo.fidelity`):
         offspring are evaluated at reduced fidelity and only the top fraction
         is promoted to a full re-evaluation.  Requires a problem whose
-        ``evaluate_genomes`` supports the ``fidelity`` keyword; ``None``
+        ``evaluate_population`` supports the ``fidelity`` keyword; ``None``
         keeps the exact single-fidelity path.
     """
 
@@ -137,7 +187,7 @@ class SPEA2:
         Thin wrapper over the stepwise driver (:meth:`driver`): the
         generation loop is array-native — population and archive are
         structure-of-arrays :class:`~repro.emoo.population.Population`
-        objects (genomes stay opaque), the per-generation pairwise distance
+        objects over genome stacks, the per-generation pairwise distance
         matrix is shared between density estimation and truncation, and
         mating selection reuses the stamped environmental-selection fitness
         instead of re-assigning SPEA2 fitness to the archive.
@@ -180,54 +230,6 @@ class SPEA2:
             deadline=deadline,
         )
 
-    # -- internals -----------------------------------------------------------
-    def _environmental_selection(self, union: Population, generation: int) -> Population:
-        """Array-native fitness assignment + environmental selection, with
-        the selected archive stamped for fitness reuse."""
-        distances = pairwise_distances(union.objectives)
-        _, _, fitness = spea2_fitness_from_arrays(
-            union.objectives, union.feasible, self.settings.density_k, distances=distances
-        )
-        selected = environmental_selection_indices(
-            fitness, self.settings.archive_size, distances=distances
-        )
-        archive = union.take(selected)
-        archive.set_fitness(fitness[selected], generation)
-        return archive
-
-    def _make_offspring(
-        self, archive: Population, rng: np.random.Generator, generation: int
-    ) -> list:
-        """Mating selection + crossover + mutation + repair -> genomes.
-
-        Mating selection reuses the generation-stamped fitness; genome
-        variation stays per-pair because genomes are opaque here (the
-        RR-matrix driver in :mod:`repro.core.optimizer` uses the fully
-        batched stack operators instead).
-        """
-        settings = self.settings
-        fitness = archive.require_fresh_fitness(generation)
-        winners = binary_tournament_indices(fitness, settings.population_size, rng)
-        parents = [archive.genome_at(index) for index in winners]
-        genomes = []
-        for index in range(0, len(parents), 2):
-            first = parents[index]
-            second = parents[(index + 1) % len(parents)]
-            if rng.random() < settings.crossover_rate:
-                child_a, child_b = self.problem.crossover(first, second, rng)
-            else:
-                child_a, child_b = first, second
-            genomes.extend([child_a, child_b])
-        genomes = genomes[: settings.population_size]
-        mutated = []
-        for genome in genomes:
-            if rng.random() < settings.mutation_rate:
-                genome = self.problem.mutate(genome, rng)
-            mutated.append(genome)
-        # Repair runs over the whole offspring list at once so batch-capable
-        # problems (RR matrices) vectorize it.
-        return self.problem.repair_genomes(mutated, rng)
-
 
 class _SPEA2Steppable(SteppableOptimization):
     """The SPEA2 generation loop decomposed for the stepwise driver."""
@@ -245,12 +247,11 @@ class _SPEA2Steppable(SteppableOptimization):
 
     def setup(self, rng: np.random.Generator) -> None:
         algorithm = self._algorithm
-        initial = algorithm.problem.initial_population(
-            algorithm.settings.population_size, rng
+        self.population = algorithm.problem.initial_population(
+            algorithm.settings.population_size,
+            rng,
+            fidelity=1.0 if self.fidelity is not None else None,
         )
-        if not initial:
-            raise OptimizationError("the problem produced an empty initial population")
-        self.population = Population.from_individuals(initial)
         self.archive = None
         self.n_evaluations = self.population.size
 
@@ -261,20 +262,11 @@ class _SPEA2Steppable(SteppableOptimization):
             if self.archive is None
             else Population.concat(self.population, self.archive)
         )
-        self.archive = algorithm._environmental_selection(union, generation)
-        offspring_genomes = algorithm._make_offspring(self.archive, rng, generation)
-        if self.fidelity is None:
-            individuals = algorithm.problem.evaluate_genomes(offspring_genomes)
-            self.n_evaluations += len(individuals)
-        else:
-            spent = self.fidelity.n_low_evaluations + self.fidelity.n_full_evaluations
-            individuals = self.fidelity.evaluate_individuals(
-                algorithm.problem, offspring_genomes
-            )
-            self.n_evaluations += (
-                self.fidelity.n_low_evaluations + self.fidelity.n_full_evaluations - spent
-            )
-        self.population = Population.from_individuals(individuals)
+        self.archive, stack = spea2_generation(
+            algorithm.problem, union, algorithm.settings, rng, generation
+        )
+        self.population, spent = evaluate_offspring(algorithm.problem, stack, self.fidelity)
+        self.n_evaluations += spent
         front = self.archive.objectives[self.archive.feasible]
         if front.shape[0] == 0:
             front = self.archive.objectives
@@ -293,10 +285,11 @@ class _SPEA2Steppable(SteppableOptimization):
 
     def finish(self, generation: int) -> SPEA2Result:
         # Final selection over the last population and archive.
-        final = self._algorithm._environmental_selection(
-            Population.concat(self.population, self.archive), generation
+        algorithm = self._algorithm
+        final = spea2_environmental_selection(
+            Population.concat(self.population, self.archive), algorithm.settings, generation
         )
-        final_archive = final.to_individuals()
+        final_archive = algorithm.problem.population_to_individuals(final)
         front = non_dominated(final_archive)
         return SPEA2Result(
             archive=final_archive,
@@ -306,7 +299,7 @@ class _SPEA2Steppable(SteppableOptimization):
         )
 
     def elite_individuals(self) -> list[Individual]:
-        return self.archive.to_individuals()
+        return self._algorithm.problem.population_to_individuals(self.archive)
 
     def setup_fingerprint(self) -> str:
         from dataclasses import asdict
@@ -323,13 +316,10 @@ class _SPEA2Steppable(SteppableOptimization):
         return workload_fingerprint(payload)
 
     def state_document(self) -> dict:
-        problem = self._algorithm.problem
         document = {
-            "population": population_to_document(self.population, problem),
+            "population": population_to_document(self.population),
             "archive": (
-                population_to_document(self.archive, problem)
-                if self.archive is not None
-                else None
+                population_to_document(self.archive) if self.archive is not None else None
             ),
             "n_evaluations": self.n_evaluations,
         }
@@ -338,11 +328,10 @@ class _SPEA2Steppable(SteppableOptimization):
         return document
 
     def restore_state(self, document: dict) -> None:
-        problem = self._algorithm.problem
-        self.population = population_from_document(document["population"], problem)
+        self.population = population_from_document(document["population"])
         archive_document = document.get("archive")
         self.archive = (
-            population_from_document(archive_document, problem)
+            population_from_document(archive_document)
             if archive_document is not None
             else None
         )

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.emoo.dominance import non_dominated
 from repro.emoo.individual import Individual
-from repro.emoo.problem import Problem
+from repro.emoo.problem import Problem, make_offspring
 from repro.exceptions import OptimizationError
 from repro.types import SeedLike, as_rng
 from repro.utils.validation import check_in_unit_interval, check_positive_int
@@ -52,14 +52,14 @@ class WeightedSumResult:
     n_evaluations: int
 
 
-def _scalar_fitness(individual: Individual, weight: float, scales: np.ndarray) -> float:
-    """Weighted sum of normalised objectives (infeasible solutions are pushed
-    behind every feasible one)."""
-    normalised = individual.objectives / scales
-    value = weight * normalised[0] + (1.0 - weight) * normalised[1]
-    if not individual.feasible:
-        value += 1e6
-    return float(value)
+def _scalar_fitness(
+    objectives: np.ndarray, feasible: np.ndarray, weight: float, scales: np.ndarray
+) -> np.ndarray:
+    """Weighted sum of normalised objectives, one value per row (infeasible
+    rows are pushed behind every feasible one)."""
+    normalised = objectives / scales
+    values = weight * normalised[:, 0] + (1.0 - weight) * normalised[:, 1]
+    return np.where(feasible, values, values + 1e6)
 
 
 @dataclass
@@ -71,52 +71,54 @@ class WeightedSumGA:
     seed: SeedLike = None
 
     def run(self) -> WeightedSumResult:
-        """Run the weight sweep and return the per-weight winners."""
+        """Run the weight sweep and return the per-weight winners.
+
+        Each generation keeps the elite rows, fills the rest with binary
+        tournament winners on the scalarised fitness (all tournaments drawn
+        in one step) passed through the shared batched variation
+        (:func:`~repro.emoo.problem.make_offspring`), and re-evaluates the
+        whole stack at once.
+        """
         if self.problem.n_objectives != 2:
             raise OptimizationError("the weighted-sum baseline only supports two objectives")
+        problem = self.problem
         rng = as_rng(self.seed)
         settings = self.settings
         weights = np.linspace(0.0, 1.0, settings.n_weights)
+        n_elite = max(1, int(settings.elite_fraction * settings.population_size))
+        n_children = settings.population_size - n_elite
         best_per_weight: list[Individual] = []
-        n_evaluations = 0
         # A common objective scale, estimated from a random sample, keeps the
         # two objectives comparable inside the scalarisation.
-        sample = self.problem.initial_population(settings.population_size, rng)
-        n_evaluations += len(sample)
-        objective_matrix = np.vstack([np.abs(ind.objectives) for ind in sample])
-        scales = np.maximum(objective_matrix.max(axis=0), 1e-12)
+        sample = problem.initial_population(settings.population_size, rng)
+        n_evaluations = sample.size
+        scales = np.maximum(np.abs(sample.objectives).max(axis=0), 1e-12)
         for weight in weights:
-            population = [individual.copy() for individual in sample]
+            population = sample
             for _ in range(settings.n_generations):
-                population.sort(key=lambda ind, _w=weight: _scalar_fitness(ind, _w, scales))
-                n_elite = max(1, int(settings.elite_fraction * settings.population_size))
-                next_genomes = [ind.genome for ind in population[:n_elite]]
-                while len(next_genomes) < settings.population_size:
-                    parent_a = self._tournament(population, weight, scales, rng)
-                    parent_b = self._tournament(population, weight, scales, rng)
-                    if rng.random() < settings.crossover_rate:
-                        child, _ = self.problem.crossover(parent_a.genome, parent_b.genome, rng)
-                    else:
-                        child = parent_a.genome
-                    if rng.random() < settings.mutation_rate:
-                        child = self.problem.mutate(child, rng)
-                    next_genomes.append(self.problem.repair(child, rng))
-                population = self.problem.evaluate_genomes(next_genomes)
-                n_evaluations += len(population)
-            population.sort(key=lambda ind, _w=weight: _scalar_fitness(ind, _w, scales))
-            best_per_weight.append(population[0])
+                fitness = _scalar_fitness(
+                    population.objectives, population.feasible, weight, scales
+                )
+                elites = population.genomes[np.argsort(fitness, kind="stable")[:n_elite]]
+                contenders = rng.integers(0, population.size, size=(n_children, 2))
+                first, second = contenders[:, 0], contenders[:, 1]
+                winners = np.where(fitness[first] <= fitness[second], first, second)
+                stack = elites
+                if n_children:
+                    children = make_offspring(
+                        problem,
+                        population.genomes[winners],
+                        rng,
+                        crossover_rate=settings.crossover_rate,
+                        mutation_rate=settings.mutation_rate,
+                    )
+                    stack = np.concatenate([elites, children])
+                population = problem.evaluate_population(stack)
+                n_evaluations += population.size
+            fitness = _scalar_fitness(population.objectives, population.feasible, weight, scales)
+            best = population.take(np.array([np.argmin(fitness)]))
+            best_per_weight.extend(problem.population_to_individuals(best))
         front = non_dominated(best_per_weight)
         return WeightedSumResult(
             best_per_weight=best_per_weight, front=front, n_evaluations=n_evaluations
         )
-
-    def _tournament(
-        self,
-        population: list[Individual],
-        weight: float,
-        scales: np.ndarray,
-        rng: np.random.Generator,
-    ) -> Individual:
-        first, second = rng.integers(0, len(population), size=2)
-        a, b = population[first], population[second]
-        return a if _scalar_fitness(a, weight, scales) <= _scalar_fitness(b, weight, scales) else b

@@ -2,15 +2,44 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 import pytest
 
-from repro.core.bruteforce import brute_force_front
+from repro.core.bruteforce import _grid_columns, brute_force_front
 from repro.core.config import OptRRConfig
 from repro.core.optimizer import OptRROptimizer
 from repro.core.search_space import rr_matrix_combinations
 from repro.data.distribution import CategoricalDistribution
+from repro.data.synthetic import normal_distribution
+from repro.emoo.dominance import non_dominated_objectives
 from repro.exceptions import OptimizationError
+from repro.metrics.evaluation import MatrixEvaluator
+from repro.rr.matrix import RRMatrix
+
+from oracles.rr import evaluate_scalar
+
+
+def per_matrix_front(prior, n_records, d, delta=None):
+    """The specification: one validated matrix and one scalar evaluation per
+    grid point, then the non-dominated feasible points."""
+    evaluator = MatrixEvaluator(prior, n_records, delta)
+    columns = _grid_columns(prior.n_categories, d)
+    points = []
+    for selection in product(range(len(columns)), repeat=prior.n_categories):
+        matrix = RRMatrix(np.column_stack([columns[index] for index in selection]))
+        evaluation = evaluate_scalar(evaluator, matrix)
+        if evaluation.feasible:
+            points.append((matrix, evaluation))
+    objectives = np.array([(-e.privacy, e.utility) for _, e in points])
+    front = non_dominated_objectives(objectives)
+    kept = [
+        (e.privacy, e.utility, e.max_posterior, matrix.probabilities.tobytes())
+        for (matrix, e), row in zip(points, objectives)
+        if any(np.array_equal(row, member) for member in front)
+    ]
+    return sorted(kept), len(points)
 
 
 @pytest.fixture
@@ -42,6 +71,25 @@ class TestBruteForce:
         report = brute_force_front(binary_prior, 1000, d=6, delta=0.8)
         for point in report.result:
             assert point.max_posterior <= 0.8 + 1e-9
+
+    @pytest.mark.parametrize(
+        "prior, d, delta",
+        [
+            (CategoricalDistribution(np.array([0.65, 0.35])), 10, None),
+            (normal_distribution(3), 4, None),
+            (normal_distribution(3), 4, 0.8),
+        ],
+    )
+    def test_matches_per_matrix_scalar_loop(self, prior, d, delta):
+        """The chunked stack evaluation reproduces the per-matrix loop over
+        the scalar specification: same front points, bit for bit."""
+        report = brute_force_front(prior, 1000, d=d, delta=delta)
+        expected, n_feasible = per_matrix_front(prior, 1000, d, delta)
+        assert report.n_feasible == n_feasible
+        assert sorted(
+            (p.privacy, p.utility, p.max_posterior, p.matrix.probabilities.tobytes())
+            for p in report.result.points
+        ) == expected
 
     def test_budget_guard(self, binary_prior):
         with pytest.raises(OptimizationError, match="budget"):

@@ -21,7 +21,6 @@ from repro.core.archive import OptimalSet
 from repro.emoo.driver import population_from_document, population_to_document
 from repro.core.problem import RRMatrixProblem
 from repro.data.synthetic import normal_distribution
-from repro.emoo.individual import Individual
 from repro.emoo.population import Population
 from repro.exceptions import OptimizationError, ValidationError
 from repro.rr.matrix import RRMatrix
@@ -141,43 +140,20 @@ class TestPopulationRoundTrip:
         assert restored.fitness.tobytes() == population.fitness.tobytes()
         assert restored.fitness_generation == population.fitness_generation
 
-    @given(
-        st.lists(
-            st.floats(
-                allow_nan=False,
-                allow_infinity=False,
-                width=64,
-                min_value=-1e100,
-                max_value=1e100,
-            ),
-            min_size=1,
-            max_size=8,
-        )
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_source_backed_population_round_trips(self, xs):
-        problem = _scalar_problem()
-        individuals = [
-            Individual(
-                genome=float(x),
-                objectives=np.array([x * x, (x - 1.0) ** 2]),
-                metadata={"x": float(x)},
+    @pytest.mark.parametrize("layout", ["individuals", "columns", None])
+    def test_unknown_layout_is_rejected(self, layout):
+        """Only the ``arrays`` layout restores; the retired per-individual
+        layout fails closed like any other unknown one."""
+        document = population_to_document(
+            Population(
+                genomes=np.zeros((1, 2, 2)),
+                objectives=np.zeros((1, 2)),
+                feasible=np.ones(1, dtype=bool),
             )
-            for x in xs
-        ]
-        population = Population.from_individuals(individuals)
-        document = json_round_trip(population_to_document(population, problem))
-        restored = population_from_document(document, problem)
-        assert restored.objectives.tobytes() == population.objectives.tobytes()
-        for restored_member, member in zip(restored.source, population.source):
-            assert repr(restored_member.genome) == repr(member.genome)
-            assert restored_member.metadata == member.metadata
-
-
-def _scalar_problem():
-    from tests.emoo.conftest import SphereTradeoffProblem
-
-    return SphereTradeoffProblem()
+        )
+        document["layout"] = layout
+        with pytest.raises(ValidationError, match="unknown population layout"):
+            population_from_document(document)
 
 
 class TestOptimalSetRoundTrip:
@@ -187,7 +163,7 @@ class TestOptimalSetRoundTrip:
         """Fill Ω with real evaluated matrices, round-trip, compare slots."""
         problem = RRMatrixProblem(normal_distribution(n), 4000)
         rng = np.random.default_rng(seed)
-        population = problem.initial_population_soa(12, rng)
+        population = problem.initial_population(12, rng)
         optimal_set = OptimalSet(size=64)
         optimal_set.offer_population(
             population, lambda index: problem.population_individual(population, index)

@@ -42,7 +42,7 @@ def enforce_privacy_bound(matrix: RRMatrix, prior, delta: float) -> RRMatrix:
 def random_initial_matrices(n, size, rng, *, diagonal_bias: float = 2.0) -> list[RRMatrix]:
     """The (unbounded) initial population the optimizer starts from."""
     problem = RRMatrixProblem(np.full(n, 1.0 / n), 1000, diagonal_bias=diagonal_bias)
-    population = problem.initial_population_soa(size, rng)
+    population = problem.initial_population(size, rng)
     return [RRMatrix.from_validated(genome) for genome in population.genomes]
 
 

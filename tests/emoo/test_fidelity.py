@@ -13,10 +13,9 @@ from repro.emoo.fidelity import (
     FidelitySchedule,
     FidelityScheduler,
 )
-from repro.emoo.individual import Individual
 from repro.emoo.population import Population
-from repro.emoo.problem import Problem
 from repro.exceptions import OptimizationError
+from tests.emoo.conftest import SphereTradeoffProblem
 
 
 def make_scheduler(low=0.2, promotion=0.25, floor=0.05) -> FidelityScheduler:
@@ -166,16 +165,33 @@ class TestStateRoundTrip:
         assert scheduler.n_low_evaluations == 0
 
 
+def random_stack(size: int, seed: int) -> np.ndarray:
+    """Bound-repaired random RR matrices, drawn through a throwaway problem so
+    the evaluation counters of the problem under test stay untouched."""
+    problem = RRMatrixProblem(normal_distribution(6), 5000, delta=0.8)
+    return problem.initial_population(size, np.random.default_rng(seed)).genomes
+
+
+class FidelitySphereProblem(SphereTradeoffProblem):
+    """Generic-problem fidelity stub: objectives inflate by ``1/f`` at
+    fidelity ``f``."""
+
+    def evaluate_population(self, stack, *, fidelity=None):
+        population = super().evaluate_population(stack)
+        if fidelity is not None:
+            column = np.broadcast_to(np.asarray(fidelity, dtype=np.float64), (population.size,))
+            population.objectives /= column[:, None]
+            population.metadata["fidelity"] = column.copy()
+        return population
+
+
 class TestEvaluateStack:
     @pytest.fixture
     def problem(self) -> RRMatrixProblem:
         return RRMatrixProblem(normal_distribution(6), 5000, delta=0.8)
 
     def test_promoted_rows_match_full_fidelity_evaluation(self, problem):
-        rng = np.random.default_rng(2)
-        stack = np.stack(
-            [problem.random_genome(rng).probabilities for _ in range(12)]
-        )
+        stack = random_stack(12, seed=2)
         scheduler = make_scheduler(low=0.25, promotion=0.25)
         population = scheduler.evaluate_stack(problem, stack)
         reference = problem.evaluate_population(stack, fidelity=1.0)
@@ -196,70 +212,14 @@ class TestEvaluateStack:
             population.objectives[rest, 0], reference.objectives[rest, 0]
         )
 
-    def test_counters_track_both_passes(self, problem):
-        rng = np.random.default_rng(3)
-        stack = np.stack(
-            [problem.random_genome(rng).probabilities for _ in range(8)]
-        )
-        scheduler = make_scheduler(low=0.5, promotion=0.25)
-        scheduler.evaluate_stack(problem, stack)
-        assert scheduler.n_low_evaluations == 8
-        assert scheduler.n_full_evaluations == 2
-        assert problem.n_low_evaluations == 8
-        assert problem.n_full_evaluations == 2
-
-
-class FidelitySphereProblem(Problem):
-    """Generic-problem fidelity stub: objective noise shrinks as f -> 1."""
-
-    n_objectives = 2
-
-    def random_genome(self, rng):
-        return float(rng.uniform(0.0, 1.0))
-
-    def evaluate(self, genome):
-        x = float(genome)
-        return Individual(
-            genome=x, objectives=np.array([x**2, (x - 1.0) ** 2]), feasible=True
-        )
-
-    def evaluate_genomes(self, genomes, *, fidelity=None):
-        scale = 1.0 if fidelity is None else 1.0 / float(fidelity)
-        individuals = []
-        for genome in genomes:
-            individual = self.evaluate(genome)
-            individuals.append(
-                Individual(
-                    genome=individual.genome,
-                    objectives=individual.objectives * scale,
-                    feasible=True,
-                )
-            )
-        return individuals
-
-    def crossover(self, first, second, rng):
-        return first, second
-
-    def mutate(self, genome, rng):
-        return genome
-
-    def repair(self, genome, rng):
-        return genome
-
-
-class TestEvaluateIndividuals:
     def test_promoted_slots_carry_full_fidelity_objectives(self):
         problem = FidelitySphereProblem()
-        genomes = [0.1, 0.5, 0.9, 0.3]
+        stack = np.array([[0.1], [0.5], [0.9], [0.3]])
         scheduler = make_scheduler(low=0.5, promotion=0.5)
-        individuals = scheduler.evaluate_individuals(problem, genomes)
-        assert len(individuals) == 4
-        exact = {g: problem.evaluate(g).objectives for g in genomes}
-        n_exact = sum(
-            1
-            for individual in individuals
-            if np.array_equal(individual.objectives, exact[individual.genome])
-        )
+        population = scheduler.evaluate_stack(problem, stack)
+        assert population.size == 4
+        exact = problem.evaluate_population(stack).objectives
+        n_exact = int(np.all(population.objectives == exact, axis=1).sum())
         assert n_exact == scheduler.promotion_count(4)
         assert scheduler.n_low_evaluations == 4
         assert scheduler.n_full_evaluations == 2
@@ -267,7 +227,16 @@ class TestEvaluateIndividuals:
     def test_generic_problem_without_fidelity_support_raises(self, sphere_problem):
         scheduler = make_scheduler()
         with pytest.raises(OptimizationError, match="reduced-fidelity"):
-            scheduler.evaluate_individuals(sphere_problem, [0.2, 0.8])
+            scheduler.evaluate_stack(sphere_problem, np.array([[0.2], [0.8]]))
+
+    def test_counters_track_both_passes(self, problem):
+        stack = random_stack(8, seed=3)
+        scheduler = make_scheduler(low=0.5, promotion=0.25)
+        scheduler.evaluate_stack(problem, stack)
+        assert scheduler.n_low_evaluations == 8
+        assert scheduler.n_full_evaluations == 2
+        assert problem.n_low_evaluations == 8
+        assert problem.n_full_evaluations == 2
 
 
 class TestFullFidelityRowFilter:
