@@ -96,7 +96,7 @@ def _tracemalloc_peak(function) -> int:
 
 def measure_disguise_kernel(repeats: int = 7) -> dict[str, dict]:
     """Op -> record for the kernel-vs-frozen-broadcast sweep."""
-    from repro.backend.registry import active_backend
+    from repro.backend import active_backend
 
     backend = active_backend()
     results: dict[str, dict] = {}

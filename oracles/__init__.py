@@ -7,7 +7,9 @@ checked and timed against, not code the ``optrr`` program runs.
 * :mod:`oracles.optrr_loop` — the pre-array ``Individual``-list OptRR loop;
 * :mod:`oracles.emoo` — ``Individual``-list forms of the EMOO primitives;
 * :mod:`oracles.rr` — the scalar RR operators, per-matrix evaluation and the
-  broadcast disguise.
+  broadcast disguise;
+* :mod:`oracles.kernels` — the posterior-tensor evaluation, slogdet-screened
+  inversion and pure-Python distance forms of the batched kernels.
 
 Run from the repository root (``python -m pytest`` puts it on ``sys.path``).
 """

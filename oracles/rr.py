@@ -1,7 +1,7 @@
 """Frozen per-matrix specifications of the RR kernels.
 
 Each function here is the original scalar (or broadcast) implementation of
-something the array backends now compute for whole stacks: the paper's
+something the batched kernels now compute for whole stacks: the paper's
 column crossover, proportional column mutation and privacy-bound repair
 (Sections V-E to V-G), the per-matrix privacy/utility evaluation, and the
 ``(n, N)`` broadcast disguise.  The equivalence suites and the benchmarks
@@ -238,7 +238,7 @@ def broadcast_disguise_reference(
     """The historical ``(n, N)`` broadcast disguise (frozen specification).
 
     Same signature and semantics as
-    :meth:`repro.backend.base.ArrayBackend.disguise_codes`: for record ``k``
+    :meth:`repro.backend.kernels.ArrayKernels.disguise_codes`: for record ``k``
     with true code ``c``, count the column-CDF entries strictly below
     ``uniforms[k]`` — i.e. the first row ``j`` with ``cdf[j, c] >=
     uniforms[k]``.

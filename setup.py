@@ -30,6 +30,5 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.11",
     install_requires=["numpy"],
-    extras_require={"scipy": ["scipy"]},
     entry_points={"console_scripts": ["optrr = repro.cli:main"]},
 )

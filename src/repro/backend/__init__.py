@@ -1,63 +1,39 @@
-"""Pluggable array backends for the (B, n, n) hot kernels.
+"""The (B, n, n) hot kernels behind one seam: a single :class:`ArrayKernels`.
 
-Importing this package registers the built-in backends:
-
-* ``numpy`` — the bit-exact reference (default);
-* ``numpy-fused`` — einsum-fused contractions + reused workspaces;
-* ``numba`` — jitted kernels, registered only when numba is importable
-  (otherwise it is recorded as known-but-unavailable with an install hint).
-
-See :mod:`repro.backend.base` for the kernel protocol and the exactness
-contract, and :mod:`repro.backend.registry` for selection precedence
-(explicit > ``REPRO_BACKEND`` > ``numpy``).
+Every hot-path call site looks its kernel up on the one instance at call
+time (``active_backend().evaluate_stack(...)``), which is what lets the
+trace seam wrap the kernels and the equivalence suites substitute the frozen
+``oracles`` references without touching the callers.  See
+:mod:`repro.backend.kernels` for the kernels and their contracts.
 """
 
 from __future__ import annotations
 
-from repro.backend.base import EQUIVALENCE_RTOL, KERNELS, ArrayBackend
-from repro.backend.fused import FusedNumpyBackend
-from repro.backend.numpy_backend import NumpyBackend
-from repro.backend.registry import (
-    DEFAULT_BACKEND,
-    ENV_VAR,
-    active_backend,
-    active_backend_name,
-    backend_names,
-    get_backend,
-    known_backend_names,
-    register_backend,
-    register_unavailable_backend,
-    reset_active_backend,
-    resolve_backend_name,
-    set_active_backend,
-    use_backend,
-)
-from repro.backend import numba_backend as _numba_backend
+from repro.exceptions import BackendError
 
-register_backend(NumpyBackend())
-register_backend(FusedNumpyBackend())
-if _numba_backend.NUMBA_AVAILABLE:  # pragma: no cover - optional dependency
-    register_backend(_numba_backend.NumbaBackend())
-else:
-    register_unavailable_backend("numba", _numba_backend.INSTALL_HINT)
 
-__all__ = [
-    "ArrayBackend",
-    "DEFAULT_BACKEND",
-    "ENV_VAR",
-    "EQUIVALENCE_RTOL",
-    "KERNELS",
-    "FusedNumpyBackend",
-    "NumpyBackend",
-    "active_backend",
-    "active_backend_name",
-    "backend_names",
-    "get_backend",
-    "known_backend_names",
-    "register_backend",
-    "register_unavailable_backend",
-    "reset_active_backend",
-    "resolve_backend_name",
-    "set_active_backend",
-    "use_backend",
-]
+def active_backend() -> "ArrayKernels":
+    """The kernel instance every hot-path call site dispatches to."""
+    return _KERNELS
+
+
+def backend_names() -> list[str]:
+    """Names :func:`get_backend` accepts (the single instance's name)."""
+    return [_KERNELS.name]
+
+
+def get_backend(name: str) -> "ArrayKernels":
+    """The kernel instance, looked up by its name (``"numpy"``)."""
+    if name != _KERNELS.name:
+        raise BackendError(f"unknown backend {name!r}; the only one is {_KERNELS.name!r}")
+    return _KERNELS
+
+
+# Imported after the accessors: the kernels import repro.metrics, whose
+# import chain reaches call sites that import active_backend from this
+# partially initialised package.
+from repro.backend.kernels import ArrayKernels  # noqa: E402
+
+_KERNELS = ArrayKernels()
+
+__all__ = ["ArrayKernels", "active_backend", "backend_names", "get_backend"]

@@ -14,9 +14,9 @@ column-stochastic matrices and preserve that constraint:
   same column, iterating until the worst posterior meets the bound (or a
   small iteration budget is exhausted).
 
-Each operator draws its randomness here, in a fixed order, so backend choice
-can never perturb the seeded RNG stream, and hands the pre-drawn arrays to
-the RNG-free kernels of the active array backend (:mod:`repro.backend`).
+Each operator draws its randomness here, in a fixed order, and hands the
+pre-drawn arrays to the RNG-free kernels in :mod:`repro.backend`, so no
+kernel can perturb the seeded RNG stream.
 The original per-matrix implementations are kept outside the package, as
 the specification the equivalence suites check these against.
 """
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend.registry import active_backend
+from repro.backend import active_backend
 from repro.exceptions import ValidationError
 from repro.rr.matrix import RRMatrix, random_rr_matrix
 from repro.types import SeedLike, as_rng
@@ -72,7 +72,7 @@ def proportional_column_mutation_batch(
     For every matrix in the ``(B, n, n)`` stack a random element of a random
     column is perturbed and the rest of the column is rescaled, exactly as in
     the paper's rule (including the saturation-flip rule); all draws happen
-    here, the deterministic rebalancing runs on the active backend.
+    here, the deterministic rebalancing runs as a kernel.
     """
     check_in_unit_interval(scale, "scale", inclusive_low=False)
     stack = check_matrix_stack(stack, "stack")
@@ -107,7 +107,7 @@ def enforce_privacy_bound_batch(
     never increases.  Matrices that cannot be repaired (e.g. ``delta <
     max P(X)``, impossible by Theorem 5) come back best-effort and the
     evaluator marks them infeasible.  The repair is fully deterministic and
-    runs as a kernel of the active backend.
+    runs as a kernel.
     """
     check_in_unit_interval(delta, "delta", inclusive_low=False)
     check_positive_int(max_passes, "max_passes")

@@ -10,18 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend.registry import active_backend
+from repro.backend import active_backend
 from repro.exceptions import OptimizationError
 
 
 def pairwise_distances(objectives: np.ndarray) -> np.ndarray:
     """Euclidean distance matrix between objective vectors.
 
-    Validation lives here; the distance computation itself is a kernel of the
-    active array backend (:mod:`repro.backend`).  The default ``numpy``
-    backend uses :func:`scipy.spatial.distance.pdist` (condensed upper
-    triangle, half the work and memory of the naive broadcast) when SciPy is
-    available and a broadcasted computation otherwise.
+    Validation lives here; the distance computation itself is the
+    ``pairwise_distances`` kernel (:mod:`repro.backend`), which accumulates
+    the squared coordinate differences in coordinate order.
     """
     points = np.asarray(objectives, dtype=np.float64)
     if points.ndim != 2:

@@ -80,9 +80,4 @@ class FaultInjectedError(ReproError):
 
 
 class BackendError(ReproError):
-    """An array backend was requested that the registry does not know."""
-
-
-class BackendUnavailableError(BackendError):
-    """A known array backend cannot run in this environment (its optional
-    dependency is not importable); the message carries the install hint."""
+    """A kernel instance was requested under a name it does not carry."""

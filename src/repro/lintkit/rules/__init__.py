@@ -8,8 +8,8 @@ documented in ``docs/invariants.md``:
 * RL003 ``checkpoint-symmetry`` — state_document/restore_state pairing + keys
 * RL004 ``cache-key-completeness`` — overrides materialized into cache keys
 * RL005 ``ordering-hazard`` — no unordered iteration in optimizer hot paths
-* RL006 ``backend-seam-discipline`` — hot-kernel call sites dispatch through
-  the active array backend
+* RL006 ``backend-seam-discipline`` — hot-kernel call sites call the kernels
+  of the single instance in :mod:`repro.backend`
 * RL007 ``exception-discipline`` — broad except handlers must re-raise, log,
   or use the caught exception
 """

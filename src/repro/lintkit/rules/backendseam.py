@@ -1,24 +1,25 @@
 """RL006 — backend-seam discipline.
 
-The (B, n, n) hot kernels live behind the array-backend seam
-(:mod:`repro.backend`): callers obtain the active backend via
-``active_backend()`` and invoke its kernels, so alternative backends
-(fused numpy, jitted numba, ...) can be swapped in without touching the
-callers — and so the cross-backend equivalence suite is the single place
-where numerical behaviour is pinned down.  That guarantee collapses as soon
-as a seam-owned module grows a *private* linear-algebra path next to the
-backend one: the direct path silently diverges from whatever backend the
-user selected, and no equivalence test covers it.
+The (B, n, n) hot kernels live behind one seam (:mod:`repro.backend`):
+callers look a kernel up on the single instance returned by
+``active_backend()`` and invoke it, so the equivalence suite — which checks
+that instance against the frozen ``oracles`` references bit for bit — is the
+single place where numerical behaviour is pinned down, and the trace seam
+and the tests can wrap or substitute a kernel without touching the callers.
+That guarantee collapses as soon as a seam-owned module grows a *private*
+linear-algebra path next to the kernel: no equivalence test covers it, and
+it can drift from the kernel unnoticed.
 
 This rule therefore bans, inside the seam-owned modules only:
 
 * direct ``np.linalg.*`` / ``numpy.linalg.*`` use — batched inversion
-  belongs to the backend's ``batched_safe_inverses`` kernel;
-* ``scipy`` imports — the scipy-vs-einsum choice for pairwise distances is
-  an implementation detail of the backend's ``pairwise_distances`` kernel;
+  belongs to the ``batched_safe_inverses`` kernel;
+* ``scipy`` imports — scipy is not a dependency, and pairwise distances
+  belong to the ``pairwise_distances`` kernel (whose in-order numpy
+  accumulation matches ``pdist`` bit for bit without it);
 * importing the inversion helpers (``safe_inverse``,
   ``batched_safe_inverses``) straight from :mod:`repro.utils.linalg`,
-  which bypasses the backend dispatch (the classification helpers such as
+  which bypasses the kernel dispatch (the classification helpers such as
   ``DEFAULT_CONDITION_LIMIT`` remain importable — they are configuration,
   not kernels).
 """
@@ -34,7 +35,7 @@ from repro.lintkit.rules.rng import _dotted
 
 #: The seam-owned modules: every (B, n, n) hot-kernel call site.  The rule
 #: deliberately scopes to these exact files — ``repro.utils.linalg`` and the
-#: backend package itself legitimately contain the direct implementations.
+#: kernel package itself legitimately contain the direct implementations.
 SEAM_OWNED_FILES = (
     "src/repro/metrics/evaluation.py",
     "src/repro/emoo/density.py",
@@ -45,7 +46,7 @@ SEAM_OWNED_FILES = (
 #: Dotted prefixes that resolve to the numpy.linalg namespace in this repo.
 _NP_LINALG_PREFIXES = ("np.linalg", "numpy.linalg")
 
-#: Names in repro.utils.linalg whose direct import bypasses the backend's
+#: Names in repro.utils.linalg whose direct import bypasses the
 #: ``batched_safe_inverses`` kernel dispatch.
 BANNED_LINALG_IMPORTS = frozenset({"safe_inverse", "batched_safe_inverses"})
 
@@ -55,9 +56,9 @@ class BackendSeamRule(Rule):
     rule_id = "RL006"
     name = "backend-seam-discipline"
     description = (
-        "seam-owned hot-kernel modules must dispatch through the active "
-        "array backend; direct np.linalg use, scipy imports and direct "
-        "inversion-helper imports are banned there"
+        "seam-owned hot-kernel modules must call the kernels of "
+        "repro.backend.active_backend(); direct np.linalg use, scipy imports "
+        "and direct inversion-helper imports are banned there"
     )
     scopes = SEAM_OWNED_FILES
 
@@ -65,9 +66,8 @@ class BackendSeamRule(Rule):
         self, source: SourceFile, project: ProjectContext
     ) -> Iterable[Violation]:
         suffix = (
-            "; dispatch through the active array backend "
-            "(repro.backend.registry.active_backend) so the equivalence "
-            "suite covers every numerical path"
+            "; call the kernel on repro.backend.active_backend() so the "
+            "equivalence suite covers every numerical path"
         )
         violations: list[Violation] = []
         for node in ast.walk(source.tree):
@@ -90,7 +90,7 @@ class BackendSeamRule(Rule):
                                 source,
                                 node,
                                 f"`import {alias.name}` in a seam-owned "
-                                f"module{suffix}",
+                                f"module: scipy is not a dependency{suffix}",
                             )
                         )
             elif isinstance(node, ast.ImportFrom):
@@ -101,7 +101,7 @@ class BackendSeamRule(Rule):
                             source,
                             node,
                             f"`from {module} import ...` in a seam-owned "
-                            f"module{suffix}",
+                            f"module: scipy is not a dependency{suffix}",
                         )
                     )
                 elif module == "repro.utils.linalg":

@@ -10,9 +10,9 @@ Two evaluation paths are provided:
 * :meth:`MatrixEvaluator.evaluate_batch` — the vectorized engine.  A whole
   population enters as one ``(B, n, n)`` stack and every quantity (posterior
   tensor, adversary accuracy, condition numbers, inverses, Theorem-6 MSE) is
-  computed by the active array backend (:mod:`repro.backend`); the default
-  ``numpy`` backend is the original batched-numpy computation, bit for bit.
-  This is the optimizer hot path.
+  computed by the ``evaluate_stack`` kernel (:mod:`repro.backend`), which
+  matches the frozen reference in ``oracles`` bit for bit.  This is the
+  optimizer hot path.
 * :meth:`MatrixEvaluator.evaluate` — the scalar API, kept as a thin wrapper
   that stacks a single matrix and unpacks the batch result, so both paths are
   one implementation.
@@ -24,11 +24,8 @@ proportional to ``1/N``, so evaluating a matrix against the subsampled record
 count ``n_eff = max(1, rint(fidelity * N))`` amounts to scaling the full
 utility by ``N / n_eff`` — an exact, monotonically decreasing upper bound on
 the full-fidelity utility that converges to it as ``fidelity -> 1`` (and is
-bit-identical at ``fidelity = 1``).  Privacy is prior-only and stays exact;
-the worst-case posterior is computed through the cheap row-max/row-sum bound,
-which equals the full posterior-tensor maximum bit for bit (division by a
-positive row sum is monotone, so the maximum commutes with it) without
-materialising the ``(B, n, n)`` posterior tensor.
+bit-identical at ``fidelity = 1``).  Privacy and the worst-case posterior do
+not depend on the record count and stay exact at every fidelity.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend.registry import active_backend
+from repro.backend import active_backend
 from repro.data.distribution import CategoricalDistribution
 from repro.exceptions import ValidationError
 from repro.metrics.privacy import BOUND_ATOL
@@ -224,10 +221,8 @@ class MatrixEvaluator:
             scalar broadcasts over the batch).  Fidelity ``f`` evaluates the
             Theorem-6 utility against ``n_eff = max(1, rint(f * N))`` records
             instead of ``N`` — exactly the subsampled MSE, since the MSE is
-            proportional to ``1/N`` — and computes the worst-case posterior
-            through the cheap row-max/row-sum bound.  ``None`` (and a
-            fidelity of exactly 1) reproduce the full-fidelity evaluation
-            bit for bit.
+            proportional to ``1/N``.  ``None`` (and a fidelity of exactly
+            1) reproduce the full-fidelity evaluation bit for bit.
 
         Returns
         -------
@@ -243,15 +238,12 @@ class MatrixEvaluator:
             )
         fidelity_column = resolve_fidelity_column(fidelity, stack.shape[0])
         prior_vector = self.prior.probabilities
-        # The (B, n, n) kernels live behind the array-backend seam; the
-        # default backend reproduces the original batched-numpy computation
-        # bit for bit (see repro.backend.base for the exactness contract).
+        # The (B, n, n) kernels live behind the seam in repro.backend.
         privacy, utility, worst_posterior, invertible = active_backend().evaluate_stack(
             stack,
             prior_vector,
             self.n_records,
             condition_limit=DEFAULT_CONDITION_LIMIT,
-            cheap_posterior_bound=fidelity_column is not None,
         )
         if fidelity_column is not None:
             # MSE is exactly proportional to 1/N (Theorem 6), so the

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend.registry import active_backend
+from repro.backend import active_backend
 from repro.data.dataset import CategoricalDataset
 from repro.exceptions import DataError, RRMatrixError
 from repro.rr.matrix import RRMatrix
@@ -65,10 +65,10 @@ class RandomizedResponse:
         Each input code ``i`` is replaced by a draw from column ``i`` of the
         RR matrix via inverse-CDF sampling.  The single ``rng.random(N)``
         draw happens here, in the pre-seam order, and the deterministic
-        searchsorted kernel runs behind the array-backend seam — so backend
-        choice can never perturb the seeded stream, and the disguised codes
-        are bit-identical to the historical ``(n, N)`` broadcast path while
-        peak memory stays O(N + n^2) and compute O(N log n).
+        searchsorted kernel runs behind the seam in :mod:`repro.backend` — so
+        the kernel can never perturb the seeded stream, and the disguised
+        codes are bit-identical to the historical ``(n, N)`` broadcast path
+        while peak memory stays O(N + n^2) and compute O(N log n).
         """
         codes = check_codes(codes, self.n_categories)
         rng = as_rng(seed)

@@ -116,25 +116,25 @@ def batched_safe_inverses(
     """Invert every numerically invertible matrix in a ``(B, n, n)`` stack.
 
     Returns ``(inverses, invertible)`` where ``invertible`` is a boolean mask
-    and ``inverses[b]`` is ``stack[b]^-1`` for invertible matrices and zeros
-    otherwise (callers must consult the mask before using a row).
+    and ``inverses[b]`` is ``stack[b]^-1`` for invertible matrices; other rows
+    hold no meaningful value (callers must consult the mask before using a
+    row).
 
-    Exactly singular matrices are caught by the batched LU determinant sign
-    before inversion; near-singular ones by the shared
+    Exactly singular matrices make the whole-stack inverse raise, after which
+    the batched LU determinant sign screens them out; near-singular ones are
+    caught by the shared
     :func:`one_norm_condition_estimate` — the same rule :func:`safe_inverse`
     and :func:`is_invertible` apply, so the scalar and batched paths classify
     every matrix identically.
 
-    The actual inversion is performed by the active array backend (see
-    :mod:`repro.backend`); every backend must follow the classification rule
-    above, and the default ``numpy`` backend is the original implementation
-    moved behind the seam, bit for bit.
+    The actual inversion is the ``batched_safe_inverses`` kernel (see
+    :mod:`repro.backend`), which follows the classification rule above.
     """
     stack = check_matrix_stack(stack)
     # Imported lazily: the backend kernels import this module's condition
     # helper at module level, so the reverse edge must not exist at import
     # time.
-    from repro.backend.registry import active_backend
+    from repro.backend import active_backend
 
     return active_backend().batched_safe_inverses(
         stack, condition_limit=condition_limit

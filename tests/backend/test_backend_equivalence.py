@@ -1,22 +1,27 @@
-"""Cross-backend equivalence suite: every registered backend vs ``numpy``.
+"""Kernel equivalence suite: the single kernel instance vs the frozen oracles.
 
-Each kernel of every backend in the registry is run on identical inputs next
-to the ``numpy`` reference implementation and compared according to the
-exactness the backend declares (:attr:`repro.backend.base.ArrayBackend.
-exactness`):
+Every kernel of :func:`repro.backend.active_backend` is run next to its
+executable specification in the root ``oracles`` package:
 
-* ``"bit-exact"`` kernels must match ``np.array_equal`` — bit for bit;
-* ``"tolerance"`` kernels must match ``np.testing.assert_allclose`` with
-  ``rtol=EQUIVALENCE_RTOL`` (= 1e-9) and ``atol=1e-12`` (a small absolute
-  floor for outputs that are mathematically zero but reached through a
-  different summation order);
-* boolean outputs (invertibility masks) must always match exactly,
-  regardless of the declared exactness — backends may not reclassify.
+* ``evaluate_stack``, ``batched_safe_inverses`` and ``pairwise_distances``
+  against :mod:`oracles.kernels` (posterior tensor, slogdet-screened subset
+  inversion, pure-Python in-order distance sums) — bit for bit;
+* ``disguise_codes`` against the frozen ``(n, N)`` broadcast — bit for bit;
+* ``crossover_columns`` against the scalar column crossover — bit for bit;
+* ``mutate_stack`` and ``repair_stack`` against the scalar Section V-F/V-G
+  operators, fed the same random draws, within ``atol=1e-12``: the scalar
+  specification orders its floating-point operations differently (the same
+  tolerance as ``tests/test_batch_equivalence.py``).
 
-Inputs are generated from hypothesis-drawn seeds/shapes, including singular
-and duplicated-column stack members, saturated mutation targets, and the
-near-singular 1-norm classification band regime from
-``tests/utils/test_linalg.py``.
+Inputs are Hypothesis-drawn, including singular and duplicated-column stack
+members, the near-singular 1-norm classification band from
+``tests/utils/test_linalg.py``, saturated mutation targets and uniforms
+planted on CDF boundaries.
+
+The tests that predate the single instance keep their ``[numpy]`` and
+``[numpy-fused]`` ids: they run on the kernel sets of both former backends
+(see ``LINEAGES``), and the evaluation and inverse kernels are held to the
+oracle applied one matrix at a time, so neither set is compared with itself.
 """
 
 from __future__ import annotations
@@ -26,22 +31,50 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.backend import registry
-from repro.backend.base import EQUIVALENCE_RTOL, KERNELS
-from repro.backend.numpy_backend import NumpyBackend
+from repro.backend import ArrayKernels, active_backend
+from repro.rr.matrix import RRMatrix
 from repro.utils.linalg import DEFAULT_CONDITION_LIMIT
 
-from oracles.rr import broadcast_disguise_reference
+from oracles.kernels import (
+    reference_batched_safe_inverses,
+    reference_evaluate_stack,
+    reference_pairwise_distances,
+)
+from oracles.rr import (
+    broadcast_disguise_reference,
+    column_crossover,
+    enforce_privacy_bound,
+    proportional_column_mutation,
+)
 
-#: Absolute floor applied alongside ``EQUIVALENCE_RTOL`` for ``"tolerance"``
-#: kernels (see the module docstring).
-EQUIVALENCE_ATOL = 1e-12
+#: Absolute tolerance for the kernels whose scalar specification orders its
+#: arithmetic differently (mutation and bound repair).
+SCALAR_ATOL = 1e-12
 
-#: A fresh reference instance — deliberately not the registered singleton, so
-#: the comparison cannot be short-circuited by object identity.
-REFERENCE = NumpyBackend()
+KERNELS = active_backend()
 
-BACKENDS = registry.backend_names()
+
+def _former_numpy_kernels() -> ArrayKernels:
+    """The kernel set of the former ``numpy`` backend: a fresh instance with
+    its posterior-tensor evaluation and slogdet-screened inverses, now the
+    ``oracles.kernels`` references, put back in their place."""
+    kernels = ArrayKernels()
+    kernels.evaluate_stack = reference_evaluate_stack
+    kernels.batched_safe_inverses = reference_batched_safe_inverses
+    return kernels
+
+
+#: The kernel sets of the two former backends, both still in the tree, under
+#: their old test ids: ``numpy-fused`` became the production instance, and
+#: ``numpy`` differs from it only in the evaluation and inverse kernels it
+#: left to the oracles.  The sets share the other five kernels.
+LINEAGES = pytest.mark.parametrize(
+    "kernels",
+    [
+        pytest.param(_former_numpy_kernels(), id="numpy"),
+        pytest.param(KERNELS, id="numpy-fused"),
+    ],
+)
 
 SETTINGS = settings(
     max_examples=20,
@@ -71,6 +104,11 @@ def _stochastic_stack(
     return stack
 
 
+def _validated(stack: np.ndarray) -> np.ndarray:
+    """The stack as the scalar operators see it (``RRMatrix`` validation)."""
+    return np.stack([RRMatrix(matrix).probabilities for matrix in stack])
+
+
 def _prior(seed: int, n: int) -> np.ndarray:
     return np.random.default_rng(seed).dirichlet(np.ones(n) * 2.0)
 
@@ -88,200 +126,280 @@ def _near_singular_stochastic(t: float) -> np.ndarray:
 BAND_BLENDS = np.geomspace(1e-13, 1e-10, 60)
 
 
-def _band_stack() -> np.ndarray:
-    return np.stack([_near_singular_stochastic(float(t)) for t in BAND_BLENDS])
+def _band_stack(blends=BAND_BLENDS) -> np.ndarray:
+    return np.stack([_near_singular_stochastic(float(t)) for t in blends])
 
 
-def _assert_kernel_matches(backend, kernel: str, actual, expected) -> None:
-    """Compare one kernel output against the reference according to the
-    backend's declared exactness (masks are always exact)."""
-    declared = backend.exactness[kernel]
-    assert declared in ("bit-exact", "tolerance")
-    actual = np.asarray(actual)
-    expected = np.asarray(expected)
-    assert actual.shape == expected.shape
-    if expected.dtype == bool or declared == "bit-exact":
-        np.testing.assert_array_equal(actual, expected)
-    else:
-        np.testing.assert_allclose(
-            actual, expected, rtol=EQUIVALENCE_RTOL, atol=EQUIVALENCE_ATOL
-        )
+def _mixed_singular_stack() -> np.ndarray:
+    """Invertible 4x4 matrices with one exactly singular (uniform) row of the
+    stack in the middle: the whole-stack inverse raises, so the kernel takes
+    its slogdet-screened fallback."""
+    stack = np.ascontiguousarray(0.6 * np.eye(4)[None] + 0.1 * np.ones((5, 4, 4)))
+    stack[1] = np.ascontiguousarray(_stochastic_stack(3, 1, 4)[0])
+    stack[2] = 0.25
+    return stack
 
 
-@pytest.mark.parametrize("name", BACKENDS)
-class TestProtocolMetadata:
-    def test_registered_under_its_own_name(self, name):
-        assert registry.get_backend(name).name == name
-
-    def test_declares_every_kernel(self, name):
-        backend = registry.get_backend(name)
-        assert set(backend.exactness) == set(KERNELS)
-        assert all(
-            value in ("bit-exact", "tolerance")
-            for value in backend.exactness.values()
-        )
+def _one_matrix_at_a_time(reference, stack, *args, **kwargs):
+    """``reference`` run on each matrix as a stack of one, its output columns
+    concatenated.  A matrix's results may not depend on its batch: one
+    singular row sends the whole-stack inverse down the slogdet fallback."""
+    rows = [
+        reference(stack[index : index + 1], *args, **kwargs)
+        for index in range(stack.shape[0])
+    ]
+    return tuple(np.concatenate(column) for column in zip(*rows))
 
 
-def test_numba_backend_registered_or_skipped():
-    """Registry self-test: numba is either usable or cleanly unavailable."""
-    if "numba" not in registry.backend_names():
-        assert "numba" in registry.known_backend_names()
-        with pytest.raises(registry.BackendUnavailableError, match="pip install numba"):
-            registry.get_backend("numba")
-        pytest.skip("numba backend not available in this environment")
-    assert registry.get_backend("numba").name == "numba"
+def _assert_columns_equal(actual, expected) -> None:
+    assert len(actual) == len(expected)
+    for actual_column, expected_column in zip(actual, expected):
+        assert actual_column.shape == expected_column.shape
+        np.testing.assert_array_equal(actual_column, expected_column)
 
 
-@pytest.mark.parametrize("name", BACKENDS)
+def _evaluate_both(stack, prior, n_records=10_000):
+    kwargs = dict(condition_limit=DEFAULT_CONDITION_LIMIT)
+    return (
+        KERNELS.evaluate_stack(stack, prior, n_records, **kwargs),
+        reference_evaluate_stack(stack, prior, n_records, **kwargs),
+    )
+
+
+def _invert_both(stack):
+    kwargs = dict(condition_limit=DEFAULT_CONDITION_LIMIT)
+    return (
+        KERNELS.batched_safe_inverses(stack, **kwargs),
+        reference_batched_safe_inverses(stack, **kwargs),
+    )
+
+
 class TestEvaluateStack:
-    @pytest.mark.parametrize("cheap", [False, True])
+    @LINEAGES
+    @pytest.mark.parametrize("include_singular", [False, True])
     @given(seed=seeds, batch=st.integers(1, 8), n=st.integers(2, 6))
     @SETTINGS
-    def test_matches_reference(self, name, cheap, seed, batch, n):
-        backend = registry.get_backend(name)
-        stack = _stochastic_stack(seed, batch, n, include_singular=True)
+    def test_matches_reference(self, kernels, include_singular, seed, batch, n):
+        stack = _stochastic_stack(seed, batch, n, include_singular=include_singular)
         prior = _prior(seed + 1, n)
-        kwargs = dict(
-            condition_limit=DEFAULT_CONDITION_LIMIT, cheap_posterior_bound=cheap
+        kwargs = dict(condition_limit=DEFAULT_CONDITION_LIMIT)
+        _assert_columns_equal(
+            kernels.evaluate_stack(stack, prior, 10_000, **kwargs),
+            _one_matrix_at_a_time(
+                reference_evaluate_stack, stack, prior, 10_000, **kwargs
+            ),
         )
-        privacy, utility, worst, invertible = backend.evaluate_stack(
-            stack, prior, 10_000, **kwargs
-        )
-        expected = REFERENCE.evaluate_stack(stack, prior, 10_000, **kwargs)
-        np.testing.assert_array_equal(invertible, expected[3])
-        _assert_kernel_matches(backend, "evaluate_stack", privacy, expected[0])
-        _assert_kernel_matches(backend, "evaluate_stack", utility, expected[1])
-        _assert_kernel_matches(backend, "evaluate_stack", worst, expected[2])
 
-    def test_empty_stack(self, name):
-        backend = registry.get_backend(name)
-        kwargs = dict(
-            condition_limit=DEFAULT_CONDITION_LIMIT, cheap_posterior_bound=False
-        )
+    @given(
+        blends=st.lists(st.floats(1e-13, 1e-10), min_size=1, max_size=12),
+        seed=seeds,
+    )
+    @SETTINGS
+    def test_matches_reference_in_the_near_singular_band(self, blends, seed):
+        stack = np.concatenate([_band_stack(blends), _stochastic_stack(seed, 3, 3)])
+        _assert_columns_equal(*_evaluate_both(stack, np.array([0.5, 0.3, 0.2])))
+
+    @LINEAGES
+    def test_empty_stack(self, kernels):
+        stack = np.empty((0, 2, 2))
         prior = np.array([0.5, 0.5])
-        results = backend.evaluate_stack(np.empty((0, 2, 2)), prior, 100, **kwargs)
-        expected = REFERENCE.evaluate_stack(np.empty((0, 2, 2)), prior, 100, **kwargs)
-        for actual_column, expected_column in zip(results, expected):
-            np.testing.assert_array_equal(actual_column, expected_column)
+        kwargs = dict(condition_limit=DEFAULT_CONDITION_LIMIT)
+        actual = kernels.evaluate_stack(stack, prior, 100, **kwargs)
+        assert [column.shape for column in actual] == [(0,)] * 4
+        assert actual[3].dtype == bool
+        _assert_columns_equal(
+            actual, reference_evaluate_stack(stack, prior, 100, **kwargs)
+        )
 
-    def test_near_singular_band_classification(self, name):
+    def test_near_singular_band_classification(self):
         # Inside the classification band the invertibility decision is the
-        # whole ballgame: every backend must agree with the reference on
-        # every matrix of the scan, and the scored columns must match too.
-        backend = registry.get_backend(name)
-        stack = _band_stack()
-        prior = np.array([0.5, 0.3, 0.2])
-        kwargs = dict(
-            condition_limit=DEFAULT_CONDITION_LIMIT, cheap_posterior_bound=True
-        )
-        privacy, utility, worst, invertible = backend.evaluate_stack(
-            stack, prior, 10_000, **kwargs
-        )
-        expected = REFERENCE.evaluate_stack(stack, prior, 10_000, **kwargs)
-        np.testing.assert_array_equal(invertible, expected[3])
+        # whole ballgame: the kernel must agree with the reference on every
+        # matrix of the scan, and the scored columns must match too.
+        actual, expected = _evaluate_both(_band_stack(), np.array([0.5, 0.3, 0.2]))
+        invertible = actual[3]
         assert not invertible.all() and invertible.any()
-        _assert_kernel_matches(backend, "evaluate_stack", privacy, expected[0])
-        _assert_kernel_matches(backend, "evaluate_stack", utility, expected[1])
-        _assert_kernel_matches(backend, "evaluate_stack", worst, expected[2])
+        _assert_columns_equal(actual, expected)
+
+    def test_mixed_stack_with_one_singular_row(self):
+        stack = _mixed_singular_stack()
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(stack)
+        actual, expected = _evaluate_both(stack, np.array([0.4, 0.3, 0.2, 0.1]))
+        np.testing.assert_array_equal(actual[3], [True, True, False, True, True])
+        assert np.isinf(actual[1][2]) and np.isfinite(actual[1][[0, 1, 3, 4]]).all()
+        _assert_columns_equal(actual, expected)
 
 
-@pytest.mark.parametrize("name", BACKENDS)
 class TestBatchedSafeInverses:
+    @LINEAGES
     @given(seed=seeds, batch=st.integers(1, 8), n=st.integers(2, 6))
     @SETTINGS
-    def test_matches_reference(self, name, seed, batch, n):
-        backend = registry.get_backend(name)
+    def test_matches_reference(self, kernels, seed, batch, n):
         stack = _stochastic_stack(seed, batch, n, include_singular=True)
-        inverses, invertible = backend.batched_safe_inverses(
-            stack, condition_limit=DEFAULT_CONDITION_LIMIT
-        )
-        expected_inverses, expected_invertible = REFERENCE.batched_safe_inverses(
-            stack, condition_limit=DEFAULT_CONDITION_LIMIT
-        )
-        np.testing.assert_array_equal(invertible, expected_invertible)
-        _assert_kernel_matches(
-            backend, "batched_safe_inverses", inverses, expected_inverses
+        kwargs = dict(condition_limit=DEFAULT_CONDITION_LIMIT)
+        _assert_columns_equal(
+            kernels.batched_safe_inverses(stack, **kwargs),
+            _one_matrix_at_a_time(reference_batched_safe_inverses, stack, **kwargs),
         )
 
-    def test_near_singular_band(self, name):
-        backend = registry.get_backend(name)
+    @given(seed=seeds, batch=st.integers(1, 8), n=st.integers(2, 6))
+    @SETTINGS
+    def test_matches_reference_without_singular_rows(self, seed, batch, n):
+        # The whole-stack inverse succeeds here, so this is the fast path.
+        _assert_columns_equal(*_invert_both(_stochastic_stack(seed, batch, n)))
+
+    @LINEAGES
+    def test_near_singular_band(self, kernels):
         stack = _band_stack()
-        inverses, invertible = backend.batched_safe_inverses(
-            stack, condition_limit=DEFAULT_CONDITION_LIMIT
-        )
-        expected_inverses, expected_invertible = REFERENCE.batched_safe_inverses(
-            stack, condition_limit=DEFAULT_CONDITION_LIMIT
-        )
-        np.testing.assert_array_equal(invertible, expected_invertible)
-        assert not invertible.all() and invertible.any()
-        _assert_kernel_matches(
-            backend, "batched_safe_inverses", inverses, expected_inverses
+        kwargs = dict(condition_limit=DEFAULT_CONDITION_LIMIT)
+        actual = kernels.batched_safe_inverses(stack, **kwargs)
+        assert not actual[1].all() and actual[1].any()
+        _assert_columns_equal(
+            actual,
+            _one_matrix_at_a_time(reference_batched_safe_inverses, stack, **kwargs),
         )
 
-    def test_empty_stack(self, name):
-        backend = registry.get_backend(name)
-        inverses, invertible = backend.batched_safe_inverses(
+    def test_mixed_stack_with_one_singular_row(self):
+        actual, expected = _invert_both(_mixed_singular_stack())
+        np.testing.assert_array_equal(actual[1], [True, True, False, True, True])
+        np.testing.assert_array_equal(actual[0][2], np.zeros((4, 4)))
+        _assert_columns_equal(actual, expected)
+
+    @LINEAGES
+    def test_empty_stack(self, kernels):
+        inverses, invertible = kernels.batched_safe_inverses(
             np.empty((0, 3, 3)), condition_limit=DEFAULT_CONDITION_LIMIT
         )
         assert inverses.shape == (0, 3, 3)
         assert invertible.size == 0
 
 
-@pytest.mark.parametrize("name", BACKENDS)
+#: Coordinate magnitudes spanning the objective scales the optimizer meets:
+#: tiny utilities, unit-scale privacies and the 1e6 singular-matrix penalty.
+MAGNITUDES = (1e-12, 1e-6, 1e-3, 1.0, 1e3, 1e6)
+
+
 class TestPairwiseDistances:
-    @given(seed=seeds, count=st.integers(0, 12), dimensions=st.integers(1, 5))
+    @LINEAGES
+    @given(
+        seed=seeds,
+        count=st.integers(0, 12),
+        dimensions=st.sampled_from([1, 2, 3, 5]),
+    )
     @SETTINGS
-    def test_matches_reference(self, name, seed, count, dimensions):
-        backend = registry.get_backend(name)
-        points = np.random.default_rng(seed).uniform(-5.0, 5.0, (count, dimensions))
+    def test_matches_reference(self, kernels, seed, count, dimensions):
+        rng = np.random.default_rng(seed)
+        scales = rng.choice(MAGNITUDES, size=(count, dimensions))
+        points = rng.uniform(-5.0, 5.0, (count, dimensions)) * scales
         if count >= 2:
             points[1] = points[0]  # coincident rows: exact-zero distances
-        _assert_kernel_matches(
-            backend,
-            "pairwise_distances",
-            backend.pairwise_distances(points),
-            REFERENCE.pairwise_distances(points),
+        if count >= 3:
+            points[2, -1] = 1e6  # a row carrying the singular penalty
+        np.testing.assert_array_equal(
+            kernels.pairwise_distances(points), reference_pairwise_distances(points)
         )
 
+    @pytest.mark.parametrize("dimensions", [1, 2, 3, 5])
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_degenerate_point_counts(self, count, dimensions):
+        points = np.full((count, dimensions), 0.5)
+        actual = KERNELS.pairwise_distances(points)
+        assert actual.shape == (count, count)
+        np.testing.assert_array_equal(actual, reference_pairwise_distances(points))
 
-@pytest.mark.parametrize("name", BACKENDS)
+
 class TestCrossoverColumns:
+    @LINEAGES
     @given(seed=seeds, pairs=st.integers(1, 8), n=st.integers(2, 6))
     @SETTINGS
-    def test_matches_reference(self, name, seed, pairs, n):
-        backend = registry.get_backend(name)
-        first = _stochastic_stack(seed, pairs, n)
-        second = _stochastic_stack(seed + 1, pairs, n)
-        cuts = np.random.default_rng(seed + 2).integers(1, n, size=pairs)
-        child_a, child_b = backend.crossover_columns(first, second, cuts)
-        expected_a, expected_b = REFERENCE.crossover_columns(first, second, cuts)
-        _assert_kernel_matches(backend, "crossover_columns", child_a, expected_a)
-        _assert_kernel_matches(backend, "crossover_columns", child_b, expected_b)
+    def test_matches_reference(self, kernels, seed, pairs, n):
+        first = _validated(_stochastic_stack(seed, pairs, n))
+        second = _validated(_stochastic_stack(seed + 1, pairs, n))
+        pair_seeds = [seed + 2 + pair for pair in range(pairs)]
+        # The scalar operator draws its cut as integers(1, n); replay it.
+        cuts = np.array(
+            [np.random.default_rng(s).integers(1, n) for s in pair_seeds]
+        )
+        child_a, child_b = kernels.crossover_columns(first, second, cuts)
+        for pair, pair_seed in enumerate(pair_seeds):
+            expected_a, expected_b = column_crossover(
+                RRMatrix(first[pair]), RRMatrix(second[pair]),
+                np.random.default_rng(pair_seed),
+            )
+            np.testing.assert_array_equal(child_a[pair], expected_a.probabilities)
+            np.testing.assert_array_equal(child_b[pair], expected_b.probabilities)
 
 
-@pytest.mark.parametrize("name", BACKENDS)
 class TestMutateStack:
-    @given(seed=seeds, batch=st.integers(1, 8), n=st.integers(2, 6))
+    @LINEAGES
+    @given(
+        seed=seeds,
+        batch=st.integers(1, 8),
+        n=st.integers(2, 6),
+        scale=st.sampled_from([0.05, 0.3, 1.0]),
+    )
     @SETTINGS
-    def test_matches_reference(self, name, seed, batch, n):
-        backend = registry.get_backend(name)
+    def test_matches_reference(self, kernels, seed, batch, n, scale):
         stack = _stochastic_stack(seed, batch, n)
-        rng = np.random.default_rng(seed + 3)
-        column_indices = rng.integers(0, n, size=batch)
-        element_indices = rng.integers(0, n, size=batch)
-        magnitudes = rng.uniform(0.0, 0.3, size=batch)
-        add = rng.integers(0, 2, size=batch).astype(bool)
+        matrix_seeds = [seed + 3 + index for index in range(batch)]
+        # Replay the scalar operator's draws (column, element, magnitude,
+        # direction) so both sides mutate the same cell by the same amount.
+        draws = []
+        for matrix_seed in matrix_seeds:
+            generator = np.random.default_rng(matrix_seed)
+            draws.append((
+                int(generator.integers(0, n)),
+                int(generator.integers(0, n)),
+                float(generator.uniform(0.0, scale)),
+                bool(generator.integers(0, 2)),
+            ))
+        column_indices, element_indices, magnitudes, add = (
+            np.array(values) for values in zip(*draws)
+        )
         # Saturate one target element (a one-hot column) so the flip rule of
-        # the reference mutation is exercised, not just the easy path.
+        # the mutation is exercised, not just the easy path.
         one_hot = np.zeros(n)
         one_hot[element_indices[0]] = 1.0
         stack[0][:, column_indices[0]] = one_hot
-        _assert_kernel_matches(
-            backend,
-            "mutate_stack",
-            backend.mutate_stack(stack, column_indices, element_indices, magnitudes, add),
-            REFERENCE.mutate_stack(stack, column_indices, element_indices, magnitudes, add),
+        stack = _validated(stack)
+        mutated = kernels.mutate_stack(
+            stack, column_indices, element_indices, magnitudes, add
         )
+        for index, matrix_seed in enumerate(matrix_seeds):
+            expected = proportional_column_mutation(
+                RRMatrix(stack[index]), np.random.default_rng(matrix_seed), scale=scale
+            )
+            np.testing.assert_allclose(
+                mutated[index], expected.probabilities, rtol=0.0, atol=SCALAR_ATOL
+            )
+
+
+class TestRepairStack:
+    @LINEAGES
+    @given(
+        seed=seeds,
+        batch=st.integers(1, 6),
+        n=st.integers(2, 5),
+        delta=st.sampled_from([0.5, 0.8, 0.999]),
+    )
+    @SETTINGS
+    def test_matches_reference(self, kernels, seed, batch, n, delta):
+        # Diagonally-biased stacks: high posteriors, so the repair actually
+        # iterates instead of exiting on the first bound check.
+        noise = _stochastic_stack(seed, batch, n)
+        stack = 0.7 * np.eye(n)[None, :, :] + 0.3 * noise
+        stack = _validated(stack / stack.sum(axis=1, keepdims=True))
+        prior = _prior(seed + 1, n)
+        repaired = kernels.repair_stack(
+            stack, prior, delta, max_passes=5, tolerance=1e-9
+        )
+        for index in range(batch):
+            expected = enforce_privacy_bound(
+                RRMatrix(stack[index]), prior, delta, max_passes=5, tolerance=1e-9
+            )
+            np.testing.assert_allclose(
+                repaired[index], expected.probabilities, rtol=0.0, atol=SCALAR_ATOL
+            )
 
 
 def _disguise_inputs(seed: int, n: int, count: int, *, adversarial: bool = True):
@@ -307,74 +425,34 @@ def _disguise_inputs(seed: int, n: int, count: int, *, adversarial: bool = True)
     return probabilities, codes, uniforms
 
 
-@pytest.mark.parametrize("name", BACKENDS)
 class TestDisguiseCodes:
     @given(seed=seeds, n=st.integers(2, 12), count=st.integers(0, 400))
     @SETTINGS
-    def test_matches_reference_and_frozen_broadcast(self, name, seed, n, count):
-        backend = registry.get_backend(name)
+    def test_matches_reference_and_frozen_broadcast(self, seed, n, count):
         probabilities, codes, uniforms = _disguise_inputs(seed, n, count)
-        actual = backend.disguise_codes(probabilities, codes, uniforms)
-        _assert_kernel_matches(
-            backend,
-            "disguise_codes",
-            actual,
-            REFERENCE.disguise_codes(probabilities, codes, uniforms),
-        )
+        actual = KERNELS.disguise_codes(probabilities, codes, uniforms)
         # The frozen (n, N) broadcast is the kernel's executable
-        # specification: every backend must reproduce it at its declared
-        # exactness ("bit-exact" for all current backends).
-        _assert_kernel_matches(
-            backend,
-            "disguise_codes",
-            actual,
-            broadcast_disguise_reference(probabilities, codes, uniforms),
+        # specification.
+        np.testing.assert_array_equal(
+            actual, broadcast_disguise_reference(probabilities, codes, uniforms)
         )
         assert actual.dtype == np.int64
         if count:
             assert actual.min() >= 0 and actual.max() < n
 
+    @LINEAGES
     @pytest.mark.parametrize("n", [2, 100])
-    def test_extreme_domain_sizes(self, name, n):
-        backend = registry.get_backend(name)
+    def test_extreme_domain_sizes(self, kernels, n):
         probabilities, codes, uniforms = _disguise_inputs(7, n, 5_000)
-        _assert_kernel_matches(
-            backend,
-            "disguise_codes",
-            backend.disguise_codes(probabilities, codes, uniforms),
+        np.testing.assert_array_equal(
+            kernels.disguise_codes(probabilities, codes, uniforms),
             broadcast_disguise_reference(probabilities, codes, uniforms),
         )
 
-    def test_identity_matrix_is_noop(self, name):
-        backend = registry.get_backend(name)
+    @LINEAGES
+    def test_identity_matrix_is_noop(self, kernels):
         rng = np.random.default_rng(11)
         codes = rng.integers(0, 6, size=1_000)
         uniforms = rng.random(codes.size)
-        disguised = backend.disguise_codes(np.eye(6), codes, uniforms)
+        disguised = kernels.disguise_codes(np.eye(6), codes, uniforms)
         np.testing.assert_array_equal(disguised, codes)
-
-
-@pytest.mark.parametrize("name", BACKENDS)
-class TestRepairStack:
-    @given(
-        seed=seeds,
-        batch=st.integers(1, 6),
-        n=st.integers(2, 5),
-        delta=st.sampled_from([0.5, 0.8, 0.999]),
-    )
-    @SETTINGS
-    def test_matches_reference(self, name, seed, batch, n, delta):
-        backend = registry.get_backend(name)
-        # Diagonally-biased stacks: high posteriors, so the repair actually
-        # iterates instead of exiting on the first bound check.
-        noise = _stochastic_stack(seed, batch, n)
-        stack = 0.7 * np.eye(n)[None, :, :] + 0.3 * noise
-        stack = stack / stack.sum(axis=1, keepdims=True)
-        prior = _prior(seed + 1, n)
-        kwargs = dict(max_passes=5, tolerance=1e-9)
-        _assert_kernel_matches(
-            backend,
-            "repair_stack",
-            backend.repair_stack(stack, prior, delta, **kwargs),
-            REFERENCE.repair_stack(stack, prior, delta, **kwargs),
-        )

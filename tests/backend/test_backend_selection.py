@@ -1,162 +1,100 @@
-"""Backend selection: registry precedence, error modes and the CLI surface.
+"""There is no backend selection: one kernel set, and old documents still work.
 
-The cross-backend *math* is covered by ``test_backend_equivalence.py``; this
-module covers how a backend gets chosen — ``--backend`` flag, the
-``REPRO_BACKEND`` environment variable, resume precedence — and how selection
-fails: an unknown name must exit 2 listing the registered backends, a known
-but unavailable one (``numba`` without the package) must exit 2 with the
-install hint.
+``--backend`` and ``REPRO_BACKEND`` used to choose between kernel sets that
+all produced the same bytes.  What remains to pin down:
+
+* the removed flag is an unknown argument on every subcommand that had it
+  (usage error, exit 2, no traceback);
+* a checkpoint written with ``"backend": "numpy-fused"`` (the committed
+  ``data/legacy_fused_checkpoint.json``, produced by the last release that
+  had the option) resumes to the byte-identical result, and an
+  ``experiment_result`` document carrying ``backend`` still parses;
+* campaign and pipeline cache keys do not depend on ``REPRO_BACKEND``.
 """
 
 from __future__ import annotations
 
-import os
+import json
+import shutil
+from pathlib import Path
 
-import numpy as np
 import pytest
 
-from repro.backend import registry
-from repro.backend.numpy_backend import NumpyBackend
 from repro.cli import main
-from repro.exceptions import BackendError, BackendUnavailableError
+from repro.experiments.campaign import plan_campaign
+from repro.experiments.runner import run_experiment
+from repro.io import experiment_result_from_dict, experiment_result_to_dict
+from repro.pipeline import plan_pipeline
 
-#: Tiny optimize workload shared by the CLI selection tests.
-FAST_OPTIMIZE = [
-    "optimize", "--distribution", "normal", "--categories", "6",
-    "--records", "2000", "--population", "8", "--seed", "3",
+LEGACY_CHECKPOINT = Path(__file__).parent / "data" / "legacy_fused_checkpoint.json"
+
+#: The workload the legacy checkpoint was written for (generation 2 of 4).
+LEGACY_OPTIMIZE = [
+    "optimize", "--distribution", "normal", "--categories", "3",
+    "--records", "500", "--population", "4", "--seed", "3",
 ]
-
-
-class TestRegistry:
-    def test_default_resolution(self):
-        registry.reset_active_backend()
-        os.environ.pop(registry.ENV_VAR, None)
-        assert registry.resolve_backend_name() == "numpy"
-        assert registry.active_backend_name() == "numpy"
-        assert isinstance(registry.active_backend(), NumpyBackend)
-
-    def test_explicit_name_beats_environment(self):
-        os.environ[registry.ENV_VAR] = "numpy-fused"
-        assert registry.resolve_backend_name("numpy") == "numpy"
-        assert registry.resolve_backend_name() == "numpy-fused"
-
-    def test_set_active_backend_exports_environment(self):
-        registry.set_active_backend("numpy-fused")
-        assert os.environ[registry.ENV_VAR] == "numpy-fused"
-        assert registry.active_backend_name() == "numpy-fused"
-
-    def test_use_backend_restores_previous_state(self):
-        registry.reset_active_backend()
-        os.environ.pop(registry.ENV_VAR, None)
-        with registry.use_backend("numpy-fused") as backend:
-            assert backend.name == "numpy-fused"
-            assert registry.active_backend_name() == "numpy-fused"
-            assert os.environ[registry.ENV_VAR] == "numpy-fused"
-        assert registry.active_backend_name() == "numpy"
-        assert registry.ENV_VAR not in os.environ
-
-    def test_unknown_name_lists_registered_backends(self):
-        with pytest.raises(BackendError, match="registered backends"):
-            registry.get_backend("cupy")
-
-    def test_unavailable_name_carries_install_hint(self):
-        if "numba" in registry.backend_names():
-            pytest.skip("numba is installed here; the unavailable path is moot")
-        with pytest.raises(BackendUnavailableError, match="pip install numba"):
-            registry.get_backend("numba")
-
-    def test_unavailable_error_is_a_backend_error(self):
-        # One except clause in the CLI covers both failure modes.
-        assert issubclass(BackendUnavailableError, BackendError)
-
-    def test_known_names_include_unavailable_ones(self):
-        assert "numba" in registry.known_backend_names()
-        assert {"numpy", "numpy-fused"} <= set(registry.backend_names())
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        FAST_OPTIMIZE + ["--generations", "2", "--backend", "cupy"],
-        ["run", "fact1", "--backend", "cupy"],
-        ["campaign", "fact1", "--backend", "cupy"],
+        LEGACY_OPTIMIZE + ["--generations", "2", "--backend", "numpy"],
+        ["run", "fact1", "--backend", "numpy"],
+        ["campaign", "fact1", "--backend", "numpy"],
         ["pipeline", "--data", "normal", "--schemes", "warner:0.8",
-         "--miners", "dist", "--backend", "cupy"],
+         "--miners", "dist", "--backend", "numpy"],
+        ["disguise", "--matrix", "warner:0.8", "--categories", "4",
+         "--backend", "numpy"],
     ],
-    ids=["optimize", "run", "campaign", "pipeline"],
+    ids=["optimize", "run", "campaign", "pipeline", "disguise"],
 )
 def test_unknown_backend_flag_is_usage_error(argv, capsys):
-    assert main(argv) == 2
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
     err = capsys.readouterr().err
-    assert "unknown backend 'cupy'" in err
-    assert "numpy-fused" in err  # the registered list is printed
-
-
-def test_unknown_backend_environment_is_usage_error(capsys):
-    os.environ[registry.ENV_VAR] = "cupy"
-    registry.reset_active_backend()
-    assert main(FAST_OPTIMIZE + ["--generations", "2"]) == 2
-    assert "unknown backend 'cupy'" in capsys.readouterr().err
-
-
-def test_unavailable_numba_backend_exits_with_hint(capsys):
-    if "numba" in registry.backend_names():
-        pytest.skip("numba is installed here; the unavailable path is moot")
-    assert main(FAST_OPTIMIZE + ["--generations", "2", "--backend", "numba"]) == 2
-    assert "pip install numba" in capsys.readouterr().err
+    assert "unrecognized arguments: --backend" in err
+    assert "Traceback" not in err
 
 
 class TestCLIBackendRuns:
-    def test_fused_run_matches_default_front(self, tmp_path, capsys):
-        """Same seed, same front bytes: the fused backend is bit-exact."""
-        default_out = tmp_path / "default.json"
-        fused_out = tmp_path / "fused.json"
-        base = FAST_OPTIMIZE + ["--generations", "4"]
-        assert main(base + ["--output", str(default_out)]) == 0
-        assert main(
-            base + ["--backend", "numpy-fused", "--output", str(fused_out)]
-        ) == 0
-        assert default_out.read_bytes() == fused_out.read_bytes()
-
     def test_fused_kill_resume_is_byte_identical(self, tmp_path, capsys):
-        """A fused run killed mid-flight and resumed retraces the
-        uninterrupted fused run byte for byte — and the checkpoint records
-        the backend, so the resume picks ``numpy-fused`` back up without the
-        flag being repeated."""
+        """A run interrupted under the old ``numpy-fused`` option resumes to
+        the same bytes as an uninterrupted run today."""
+        checkpoint = tmp_path / "ck.json"
+        shutil.copyfile(LEGACY_CHECKPOINT, checkpoint)
+        assert json.loads(checkpoint.read_text())["backend"] == "numpy-fused"
         full = tmp_path / "full.json"
         resumed = tmp_path / "resumed.json"
-        checkpoint = tmp_path / "ck.json"
-        fused = FAST_OPTIMIZE + ["--backend", "numpy-fused"]
-        assert main(fused + ["--generations", "6", "--output", str(full)]) == 0
+        assert main(LEGACY_OPTIMIZE + ["--generations", "4", "--output", str(full)]) == 0
         assert main(
-            fused + ["--generations", "2", "--checkpoint", str(checkpoint),
-                     "--checkpoint-every", "1"]
-        ) == 0
-        import json
-
-        document = json.loads(checkpoint.read_text())
-        assert document["backend"] == "numpy-fused"
-        # Resume WITHOUT --backend: the checkpointed backend must win over
-        # the default.
-        registry.reset_active_backend()
-        os.environ.pop(registry.ENV_VAR, None)
-        assert main(
-            ["optimize", "--resume", str(checkpoint), "--generations", "6",
+            ["optimize", "--resume", str(checkpoint), "--generations", "4",
              "--output", str(resumed)]
         ) == 0
         assert full.read_bytes() == resumed.read_bytes()
-        assert registry.active_backend_name() == "numpy-fused"
+        # Checkpoints written from now on no longer carry the key.
+        assert "backend" not in json.loads(checkpoint.read_text())
 
-    def test_resume_explicit_backend_beats_checkpoint(self, tmp_path, capsys):
-        checkpoint = tmp_path / "ck.json"
-        out = tmp_path / "out.json"
-        assert main(
-            FAST_OPTIMIZE
-            + ["--backend", "numpy-fused", "--generations", "2",
-               "--checkpoint", str(checkpoint), "--checkpoint-every", "1"]
-        ) == 0
-        assert main(
-            ["optimize", "--resume", str(checkpoint), "--generations", "4",
-             "--backend", "numpy", "--output", str(out)]
-        ) == 0
-        assert registry.active_backend_name() == "numpy"
+
+def test_experiment_result_with_backend_key_still_parses():
+    result = run_experiment("fact1", seed=0)
+    document = experiment_result_to_dict(result)
+    assert "backend" not in document
+    legacy = {**document, "backend": "numpy-fused"}
+    restored = experiment_result_from_dict(legacy)
+    assert experiment_result_to_dict(restored) == document
+
+
+def test_cache_keys_ignore_repro_backend(monkeypatch):
+    def keys():
+        campaign = plan_campaign(["fact1"], [0, 1])
+        pipeline = plan_pipeline(
+            "normal", schemes=["warner:0.8"], miners=["distribution"], seeds=[0]
+        )
+        return [task.cache_key() for task in (*campaign.tasks(), *pipeline.tasks())]
+
+    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    default = keys()
+    for value in ("numpy", "numpy-fused", "numba", "cupy"):
+        monkeypatch.setenv("REPRO_BACKEND", value)
+        assert keys() == default

@@ -1,6 +1,6 @@
-"""RL006 fixture (fixed): distances dispatch through the active backend."""
+"""RL006 fixture (fixed): distances call the kernel on the single instance."""
 
-from repro.backend.registry import active_backend
+from repro.backend import active_backend
 
 
 def pairwise_distances(points):

@@ -1,15 +1,14 @@
-"""RL006 fixture (fixed): evaluation dispatches through the active backend."""
+"""RL006 fixture (fixed): evaluation calls the kernel on the single instance."""
 
-from repro.backend.registry import active_backend
+from repro.backend import active_backend
 from repro.utils.linalg import DEFAULT_CONDITION_LIMIT
 
 
 def evaluate_stack(stack, prior, n_records):
-    backend = active_backend()
-    return backend.evaluate_stack(
+    kernels = active_backend()
+    return kernels.evaluate_stack(
         stack,
         prior,
         n_records,
         condition_limit=DEFAULT_CONDITION_LIMIT,
-        cheap_posterior_bound=True,
     )

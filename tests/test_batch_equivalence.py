@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.backend.numpy_backend import NumpyBackend
+from repro.backend import ArrayKernels
 from repro.core.operators import (
     column_crossover_batch,
     enforce_privacy_bound_batch,
@@ -39,7 +39,7 @@ from repro.rr.matrix import RRMatrix, random_rr_matrix, stack_matrices, unstack_
 from oracles.emoo import pareto_ranks, pareto_ranks_reference
 from oracles.rr import _rebalance_column, enforce_privacy_bound, evaluate_scalar
 
-_rebalance_columns_batch = NumpyBackend._rebalance_columns
+_rebalance_columns_batch = ArrayKernels._rebalance_columns
 
 TOLERANCE = 1e-12
 

@@ -21,12 +21,14 @@ computes — only how fast.  Three layers of evidence:
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.backend.registry import backend_names, use_backend
+from repro.backend import active_backend
 from repro.core.config import OptRRConfig
 from repro.core.optimizer import OptRROptimizer
 from repro.core.problem import RRMatrixProblem
@@ -38,6 +40,11 @@ from repro.emoo.selection import binary_tournament_indices
 from tests.emoo.conftest import make_individual
 
 from oracles.emoo import binary_tournament, environmental_selection, truncate_archive
+from oracles.kernels import (
+    reference_batched_safe_inverses,
+    reference_evaluate_stack,
+    reference_pairwise_distances,
+)
 from oracles.optrr_loop import (
     reference_environmental_selection,
     reference_optrr_run,
@@ -183,96 +190,79 @@ class TestTruncationEquivalence:
             assert all(ours is theirs for ours, theirs in zip(fast, slow))
 
 
-#: Every backend that can actually be activated in this environment (numba
-#: joins automatically where the package is importable).
-BACKENDS = backend_names()
-
-
 class TestBackendTrajectoryEquivalence:
-    """Backend choice may change kernels, never trajectories.
+    """The production kernels may differ from the frozen references in how
+    they compute, never in what: a fixed-seed short run of each engine
+    (OptRR, SPEA2, NSGA-II) with the kernel instance's ``evaluate_stack``,
+    ``batched_safe_inverses`` and ``pairwise_distances`` replaced by the
+    :mod:`oracles.kernels` references must equal the unpatched run:
 
-    For every registered array backend, a fixed-seed short run of each engine
-    (OptRR, SPEA2, NSGA-II) is compared against the same run on the ``numpy``
-    reference backend:
-
-    * the final RNG bit-generator state must be *identical* — backend kernels
-      are RNG-free by contract, so backend choice can never reorder or add
-      draws;
-    * the evaluation budget must be identical;
-    * the resulting front must match within the equivalence tolerance
-      (``rtol=1e-9``), and bit for bit when the backend only has bit-exact
-      kernels.
+    * the final RNG bit-generator state is *identical* — kernels are
+      RNG-free, so no kernel can reorder or add draws;
+    * the evaluation budget is identical;
+    * the resulting front is identical, bit for bit.
     """
 
-    _cache: dict = {}
-
-    @classmethod
-    def _run(cls, engine: str, backend: str):
-        key = (engine, backend)
-        if key not in cls._cache:
-            with use_backend(backend):
-                if engine == "optrr":
-                    optimizer = OptRROptimizer(
-                        normal_distribution(8), 5_000, _config(n_generations=10)
-                    )
-                    driver = optimizer.driver()
-                    result = optimizer.run_driver(driver)
-                    front = _points(result)
-                else:
-                    problem = RRMatrixProblem(normal_distribution(6), 4_000, delta=0.85)
-                    if engine == "spea2":
-                        algorithm = SPEA2(
-                            problem,
-                            SPEA2Settings(population_size=8, archive_size=8),
-                            termination=MaxGenerations(6),
-                            seed=3,
-                        )
-                    else:
-                        algorithm = NSGA2(
-                            problem,
-                            NSGA2Settings(population_size=8),
-                            termination=MaxGenerations(6),
-                            seed=3,
-                        )
-                    driver = algorithm.driver()
-                    for _ in driver.steps():
-                        pass
-                    result = driver.result()
-                    front = np.array(
-                        sorted(tuple(m.objectives) for m in result.front)
-                    )
-                cls._cache[key] = (
-                    front,
-                    result.n_evaluations,
-                    driver.rng.bit_generator.state,
+    @staticmethod
+    def _run(engine: str):
+        if engine == "optrr":
+            optimizer = OptRROptimizer(
+                normal_distribution(8), 5_000, _config(n_generations=10)
+            )
+            driver = optimizer.driver()
+            result = optimizer.run_driver(driver)
+            front = _points(result)
+        else:
+            problem = RRMatrixProblem(normal_distribution(6), 4_000, delta=0.85)
+            if engine == "spea2":
+                algorithm = SPEA2(
+                    problem,
+                    SPEA2Settings(population_size=8, archive_size=8),
+                    termination=MaxGenerations(6),
+                    seed=3,
                 )
-        return cls._cache[key]
+            else:
+                algorithm = NSGA2(
+                    problem,
+                    NSGA2Settings(population_size=8),
+                    termination=MaxGenerations(6),
+                    seed=3,
+                )
+            driver = algorithm.driver()
+            for _ in driver.steps():
+                pass
+            result = driver.result()
+            front = np.array(sorted(tuple(m.objectives) for m in result.front))
+        return front, result.n_evaluations, driver.rng.bit_generator.state
 
     @pytest.mark.parametrize("engine", ["optrr", "spea2", "nsga2"])
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_trajectory_matches_numpy_reference(self, engine, backend):
-        front, evaluations, rng_state = self._run(engine, backend)
-        expected_front, expected_evaluations, expected_rng_state = self._run(
-            engine, "numpy"
-        )
+    def test_trajectory_matches_numpy_reference(self, engine, monkeypatch):
+        production = self._run(engine)
+        kernels = active_backend()
+        calls: Counter = Counter()
+
+        def counted(name, reference):
+            def kernel(*args, **kwargs):
+                calls[name] += 1
+                return reference(*args, **kwargs)
+
+            return kernel
+
+        for name, reference in (
+            ("evaluate_stack", reference_evaluate_stack),
+            ("batched_safe_inverses", reference_batched_safe_inverses),
+            ("pairwise_distances", reference_pairwise_distances),
+        ):
+            monkeypatch.setattr(kernels, name, counted(name, reference))
+        front, evaluations, rng_state = self._run(engine)
+        assert calls["evaluate_stack"] > 0
+        if engine != "nsga2":  # NSGA-II ranks by crowding, not distances
+            assert calls["pairwise_distances"] > 0
+        expected_front, expected_evaluations, expected_rng_state = production
         assert rng_state == expected_rng_state
         assert evaluations == expected_evaluations
         assert front.shape == expected_front.shape
-        np.testing.assert_allclose(front, expected_front, rtol=1e-9, atol=1e-12)
-
-    def test_explicit_numpy_activation_is_bit_exact(self):
-        """Activating ``numpy`` explicitly is the same run as not selecting a
-        backend at all — the seam's default dispatches to the identical
-        kernels, so nothing about the trajectory may move."""
-        implicit = OptRROptimizer(
-            normal_distribution(8), 5_000, _config(n_generations=10)
-        ).run()
-        with use_backend("numpy"):
-            explicit = OptRROptimizer(
-                normal_distribution(8), 5_000, _config(n_generations=10)
-            ).run()
-        assert np.array_equal(_points(implicit), _points(explicit))
-        assert np.array_equal(_omega(implicit), _omega(explicit))
+        np.testing.assert_array_equal(front, expected_front)
 
 
 class TestMatingSelectionEquivalence:
