@@ -15,7 +15,6 @@ import numpy as np
 from repro.emoo.density import pairwise_distances
 from repro.emoo.dominance import dominance_matrix_from_arrays, pareto_ranks_from_arrays
 from repro.emoo.fitness import spea2_fitness_from_arrays
-from repro.emoo.individual import Individual, objectives_array
 from repro.emoo.selection import (
     binary_tournament_indices,
     environmental_selection_indices,
@@ -24,6 +23,8 @@ from repro.emoo.selection import (
 from repro.exceptions import OptimizationError
 from repro.types import SeedLike, as_rng
 from repro.utils.validation import check_positive_int
+
+from oracles.individual import Individual, objectives_array
 
 
 def dominates(first: Individual, second: Individual) -> bool:

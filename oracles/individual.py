@@ -1,19 +1,23 @@
-"""The per-candidate view at the EMOO result boundary.
+"""The per-candidate ``Individual`` and its list helpers.
 
 An :class:`Individual` wraps one genome together with its objective vector
 (minimisation convention), an optional feasibility flag, and the bookkeeping
-fields (fitness, density, rank) written by the algorithms.  The generation
-loops work on structure-of-arrays populations; individuals are materialised
-for results, callbacks and the Ω optimal set.
+fields (fitness, density, rank) written by the algorithms.  The engine in
+``repro`` works on structure-of-arrays populations only; the frozen list
+forms (:mod:`oracles.emoo`, :mod:`oracles.archive`,
+:mod:`oracles.optrr_loop`) and their tests still speak ``list[Individual]``,
+converted from populations by :func:`population_to_individuals`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
+from repro.emoo.dominance import dominance_matrix_from_arrays
+from repro.emoo.population import Population
 from repro.exceptions import OptimizationError
 
 
@@ -83,3 +87,33 @@ def objectives_array(population: list[Individual]) -> np.ndarray:
     if not population:
         return np.empty((0, 0))
     return np.vstack([individual.objectives for individual in population])
+
+
+def non_dominated(population: list[Individual]) -> list[Individual]:
+    """Return the non-dominated subset of ``population``."""
+    if not population:
+        return []
+    feasible = np.array([individual.feasible for individual in population], dtype=bool)
+    dominated = dominance_matrix_from_arrays(objectives_array(population), feasible).any(axis=0)
+    return [individual for individual, flag in zip(population, dominated) if not flag]
+
+
+def population_to_individuals(
+    population: Population, genome_builder: Callable[[np.ndarray], Any] | None = None
+) -> list[Individual]:
+    """Materialise every population row as an :class:`Individual` view:
+    ``genome_builder`` wraps each genome row, metadata becomes plain Python
+    scalars, and a stamped fitness is carried over."""
+    individuals = []
+    for index in range(population.size):
+        genome = population.genomes[index]
+        individual = Individual(
+            genome=genome if genome_builder is None else genome_builder(genome),
+            objectives=population.objectives[index].copy(),
+            feasible=bool(population.feasible[index]),
+            metadata={key: column[index].item() for key, column in population.metadata.items()},
+        )
+        if not np.isnan(population.fitness[index]):
+            individual.fitness = float(population.fitness[index])
+        individuals.append(individual)
+    return individuals

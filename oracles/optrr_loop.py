@@ -23,13 +23,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.archive import OptimalSet
 from repro.core.config import OptRRConfig
 from repro.core.problem import RRMatrixProblem
-from repro.core.result import OptimizationResult
+from repro.core.result import OptimizationResult, ParetoPoint
 from repro.data.distribution import CategoricalDistribution
 from repro.emoo.density import pairwise_distances
-from repro.emoo.individual import Individual, objectives_array
 from repro.emoo.termination import (
     GenerationState,
     MaxGenerations,
@@ -37,10 +35,28 @@ from repro.emoo.termination import (
     TerminationCriterion,
 )
 from repro.exceptions import OptimizationError
-from repro.rr.matrix import stack_matrices
+from repro.rr.matrix import RRMatrix, stack_matrices
 from repro.types import SeedLike, as_rng
 
+from oracles.archive import SequentialOptimalSet
 from oracles.emoo import assign_spea2_fitness, binary_tournament
+from oracles.individual import Individual, objectives_array, population_to_individuals
+
+
+def _individuals(population) -> list[Individual]:
+    return population_to_individuals(population, genome_builder=RRMatrix.from_validated)
+
+
+def _pareto_points(individuals: list[Individual]) -> tuple[ParetoPoint, ...]:
+    return tuple(
+        ParetoPoint(
+            matrix=individual.genome,
+            privacy=float(individual.metadata["privacy"]),
+            utility=float(individual.metadata["utility"]),
+            max_posterior=float(individual.metadata.get("max_posterior", float("nan"))),
+        )
+        for individual in individuals
+    )
 
 
 def reference_truncate_archive(
@@ -112,7 +128,7 @@ def _baseline_seed_individuals(
     retention_values = np.linspace(0.0, 1.0, config.baseline_seeds)
     matrices = [warner_matrix(n, float(retention)) for retention in retention_values]
     matrices = problem.repair_stack(stack_matrices(matrices))
-    return problem.population_to_individuals(problem.evaluate_population(matrices))
+    return _individuals(problem.evaluate_population(matrices))
 
 
 def _make_offspring(
@@ -155,7 +171,7 @@ def _make_offspring(
 
 def _refresh_from_optimal_set(
     individuals: list[Individual],
-    optimal_set: OptimalSet,
+    optimal_set: SequentialOptimalSet,
     *,
     reuse_archive_fitness: bool,
 ) -> None:
@@ -203,14 +219,12 @@ def reference_optrr_run(
     termination = _termination(config)
     termination.reset()
 
-    population = problem.population_to_individuals(
-        problem.initial_population(config.population_size, rng)
-    )
+    population = _individuals(problem.initial_population(config.population_size, rng))
     baseline_seeds = _baseline_seed_individuals(problem, config, rng)
     if not population:
         raise OptimizationError("initial population is empty")
     archive: list[Individual] = []
-    optimal_set = OptimalSet(config.optimal_set_size)
+    optimal_set = SequentialOptimalSet(config.optimal_set_size)
     optimal_set.offer_many(population)
     optimal_set.offer_many(baseline_seeds)
     if baseline_seeds:
@@ -226,9 +240,7 @@ def reference_optrr_run(
         offspring_stack = _make_offspring(
             problem, config, archive, rng, reuse_archive_fitness=reuse_archive_fitness
         )
-        population = problem.population_to_individuals(
-            problem.evaluate_population(offspring_stack)
-        )
+        population = _individuals(problem.evaluate_population(offspring_stack))
         updates = optimal_set.offer_many(population)
         updates += optimal_set.offer_many(archive)
         _refresh_from_optimal_set(
@@ -245,9 +257,9 @@ def reference_optrr_run(
     front = optimal_set.pareto_members()
     if not front:
         front = archive
-    return OptimizationResult.from_individuals(
-        front,
-        optimal_set.members(),
+    return OptimizationResult(
+        points=_pareto_points(front),
+        optimal_set_points=_pareto_points(optimal_set.members()),
         n_generations=generation + 1,
         n_evaluations=problem.n_evaluations,
     )

@@ -6,64 +6,56 @@ when the front gets crowded.  The paper's fix is an additional *optimal set*
 keeping the matrix with the best utility seen so far at that privacy level.
 Updating Ω is O(1) per candidate, so its size can be much larger than the
 archive without affecting the cubic environmental-selection cost.
+
+Ω is stored like a :class:`~repro.emoo.population.Population` with one row
+per slot: a ``(size, n, n)`` genome stack, objectives, feasibility and
+metadata columns.  The per-slot utility array (``+inf`` = empty slot) is
+both the vectorized pre-filter of every offer and the occupancy mask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any
 
 import numpy as np
 
 from repro.emoo.dominance import non_dominated
-from repro.emoo.individual import Individual
-from repro.emoo.population import Population, _metadata_scalar
-from repro.exceptions import OptimizationError
+from repro.emoo.population import Population
+from repro.exceptions import OptimizationError, ValidationError
 from repro.utils.arrays import decode_array, encode_array
 from repro.utils.validation import check_positive_int
 
 
-def _columnar_metadata(members: list[Individual]) -> dict[str, Any]:
-    """Member metadata as columns: numeric/bool columns travel as byte
-    arrays, anything else (or ragged keys) falls back to JSON values."""
-    keys = list(members[0].metadata)
-    if any(list(member.metadata) != keys for member in members):
-        return {
-            "__rows__": [
-                {
-                    key: (value.item() if isinstance(value, np.generic) else value)
-                    for key, value in member.metadata.items()
-                }
-                for member in members
-            ]
-        }
-    columns: dict[str, Any] = {}
-    for key in keys:
-        values = [member.metadata[key] for member in members]
-        array = np.asarray(values)
-        if array.dtype.kind in "fbiu":
-            columns[key] = {"column": encode_array(array)}
-        else:
-            columns[key] = {
-                "values": [
-                    value.item() if isinstance(value, np.generic) else value
-                    for value in values
-                ]
-            }
-    return columns
+def _copy_rows(
+    target: Population, target_rows: np.ndarray, source: Population, source_rows: np.ndarray
+) -> None:
+    """Overwrite ``target``'s rows with ``source``'s (fitness untouched)."""
+    target.genomes[target_rows] = source.genomes[source_rows]
+    target.objectives[target_rows] = source.objectives[source_rows]
+    target.feasible[target_rows] = source.feasible[source_rows]
+    for key, column in target.metadata.items():
+        column[target_rows] = source.metadata[key][source_rows]
 
 
-def _metadata_rows(document: dict[str, Any], count: int) -> list[dict[str, Any]]:
-    """Rebuild per-member metadata dicts from :func:`_columnar_metadata`."""
+def _metadata_columns(document: dict[str, Any], count: int) -> dict[str, np.ndarray]:
+    """Decode the ``metadata`` entry of an Ω state document into columns.
+
+    Ω writes one byte array per column.  Checkpoints written before the
+    columnar Ω could instead hold the JSON rows of a ``__rows__`` entry
+    (written after any resume); they are still read.
+    """
     if "__rows__" in document:
-        return [dict(row) for row in document["__rows__"]]
-    columns: dict[str, list[Any]] = {}
+        rows = document["__rows__"]
+        if len(rows) != count or not all(isinstance(row, dict) for row in rows):
+            raise ValidationError("malformed optimal-set metadata rows")
+        return {key: np.asarray([row[key] for row in rows]) for key in rows[0]}
+    columns = {}
     for key, entry in document.items():
-        if "column" in entry:
-            columns[key] = [_metadata_scalar(value) for value in decode_array(entry["column"])]
-        else:
-            columns[key] = list(entry["values"])
-    return [{key: columns[key][row] for key in columns} for row in range(count)]
+        if not isinstance(entry, dict) or "column" not in entry:
+            raise ValidationError(f"unknown optimal-set metadata layout for {key!r}")
+        columns[key] = decode_array(entry["column"])
+    return columns
 
 
 @dataclass
@@ -82,192 +74,152 @@ class OptimalSet:
 
     def __post_init__(self) -> None:
         check_positive_int(self.size, "size")
-        self._slots: list[Individual | None] = [None] * self.size
-        # Parallel utility array (+inf = empty slot) so whole populations can
-        # be pre-filtered against Ω with one vectorized comparison.
         self._utilities = np.full(self.size, np.inf)
+        # One row per slot, allocated by the first _store.
+        self._rows: Population | None = None
         self._n_updates = 0
         # (n_updates, document) pair reused by state_document while Ω is quiet.
         self._state_cache: tuple[int, dict[str, Any]] | None = None
 
-    # -- indexing ------------------------------------------------------------
-    def slot_of(self, privacy: float) -> int:
-        """Slot index of a privacy value."""
-        if not np.isfinite(privacy):
-            raise OptimizationError(f"privacy must be finite, got {privacy}")
-        index = int(np.floor(np.clip(privacy, 0.0, 1.0) * self.size))
-        return min(index, self.size - 1)
-
     def slots_of(self, privacy: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`slot_of` over a privacy array."""
+        """Slot index of every value of a privacy array."""
         privacy = np.asarray(privacy, dtype=np.float64)
         if privacy.size and not np.all(np.isfinite(privacy)):
             raise OptimizationError("privacy values must be finite")
         indices = np.floor(np.clip(privacy, 0.0, 1.0) * self.size).astype(np.intp)
         return np.minimum(indices, self.size - 1)
 
-    # -- updates ---------------------------------------------------------------
-    def offer(self, individual: Individual) -> bool:
-        """Offer a candidate to Ω.
+    def _store(self, source: Population, rows: np.ndarray, slots: np.ndarray) -> None:
+        """Copy ``source``'s ``rows`` into ``slots``, allocating the slot
+        rows with ``source``'s shapes and dtypes on first use."""
+        if self._rows is None:
+            def empty(column: np.ndarray) -> np.ndarray:
+                return np.zeros((self.size, *column.shape[1:]), dtype=column.dtype)
 
-        The candidate must carry ``privacy`` and ``utility`` metadata (set by
-        :class:`repro.core.problem.RRMatrixProblem`).  It replaces the current
-        occupant of its privacy slot when the slot is empty or the candidate
-        has strictly better (lower) utility.  Infeasible candidates are
-        ignored.  Returns True when Ω was updated.
+            self._rows = Population(
+                genomes=empty(source.genomes),
+                objectives=empty(source.objectives),
+                feasible=empty(source.feasible),
+                metadata={key: empty(column) for key, column in source.metadata.items()},
+            )
+        _copy_rows(self._rows, slots, source, rows)
+
+    # -- updates ---------------------------------------------------------------
+    def offer_population(self, population: Population) -> int:
+        """Offer every row of a population; returns the number of accepted
+        updates.
+
+        A feasible row with a finite ``utility`` replaces the occupant of its
+        ``privacy`` slot when the slot is empty or the row's utility is
+        strictly lower.  Decisions and the count equal offering the rows one
+        at a time: one comparison against the slot utilities pre-filters the
+        batch (they only ever decrease), and a short loop re-checks the
+        survivors in row order.
         """
-        if not individual.feasible:
-            return False
         try:
-            privacy = float(individual.metadata["privacy"])
-            utility = float(individual.metadata["utility"])
+            utility = np.asarray(population.metadata["utility"], dtype=np.float64)
+            privacy = population.metadata["privacy"]
         except KeyError as exc:
             raise OptimizationError(
-                "individuals offered to the optimal set must carry 'privacy' "
+                "populations offered to the optimal set must carry 'privacy' "
                 "and 'utility' metadata"
             ) from exc
-        if not np.isfinite(utility):
-            return False
-        slot = self.slot_of(privacy)
-        occupant = self._slots[slot]
-        if occupant is None or utility < float(occupant.metadata["utility"]):
-            self._slots[slot] = individual.copy()
-            self._utilities[slot] = utility
-            self._n_updates += 1
-            return True
-        return False
-
-    def offer_many(self, individuals: list[Individual]) -> int:
-        """Offer a batch of candidates; returns the number of accepted updates."""
-        return sum(1 for individual in individuals if self.offer(individual))
-
-    def offer_population(
-        self,
-        population: Population,
-        make_individual: Callable[[int], Individual],
-    ) -> int:
-        """Offer a whole structure-of-arrays population to Ω.
-
-        Candidates are pre-filtered with one vectorized comparison against the
-        slot-utility array; only the (few) actual improvements construct an
-        ``Individual`` via ``make_individual(row_index)``.  Accept/reject
-        decisions and the update count are identical to offering the rows
-        sequentially through :meth:`offer`, because slot utilities only ever
-        decrease — a candidate losing the vectorized pre-filter would also
-        lose the sequential comparison.
-        """
-        utility = np.asarray(population.metadata["utility"], dtype=np.float64)
+        if self._rows is not None and set(population.metadata) != set(self._rows.metadata):
+            raise OptimizationError(
+                "offered metadata columns differ from the optimal set's "
+                f"({sorted(population.metadata)} != {sorted(self._rows.metadata)})"
+            )
         candidates = np.flatnonzero(population.feasible & np.isfinite(utility))
-        if candidates.size == 0:
-            return 0
-        slots = self.slots_of(population.metadata["privacy"][candidates])
-        improving = np.flatnonzero(utility[candidates] < self._utilities[slots])
+        slots = self.slots_of(privacy[candidates])
+        winners: dict[int, int] = {}  # slot -> last accepted row
         updates = 0
-        for local in improving:
-            row = int(candidates[local])
-            slot = int(slots[local])
-            # Re-check: an earlier row of this batch may have taken the slot
-            # with a better utility than the pre-filter snapshot knew about.
+        for local in np.flatnonzero(utility[candidates] < self._utilities[slots]):
+            row, slot = int(candidates[local]), int(slots[local])
+            # Re-check: an earlier row of this batch may have taken the slot.
             if utility[row] < self._utilities[slot]:
-                self._slots[slot] = make_individual(row)
                 self._utilities[slot] = utility[row]
-                self._n_updates += 1
+                winners[slot] = row
                 updates += 1
+        if updates:
+            count = len(winners)
+            self._store(
+                population,
+                np.fromiter(winners.values(), np.intp, count),
+                np.fromiter(winners, np.intp, count),
+            )
+            self._n_updates += updates
         return updates
+
+    def refresh(self, population: Population) -> None:
+        """Overwrite, in place, every feasible row of ``population`` whose
+        slot holds a strictly better occupant with that occupant (the
+        reverse direction of the Ω update).  Replaced rows keep their
+        selection fitness, so the population's stamp stays truthful."""
+        rows = np.flatnonzero(population.feasible)
+        slots = self.slots_of(population.metadata["privacy"][rows])
+        better = self._utilities[slots] < population.metadata["utility"][rows]
+        if better.any():
+            assert self._rows is not None  # a finite slot utility implies a row
+            _copy_rows(population, rows[better], self._rows, slots[better])
 
     # -- checkpointing ---------------------------------------------------------
     def state_document(self) -> dict[str, Any]:
-        """Serialize Ω bit-exactly for a ``checkpoint`` document.
+        """Serialize Ω bit-exactly for a ``checkpoint`` document: the
+        occupied slots, plus one base64 byte array each for their genomes,
+        objectives, feasibility and every metadata column.
 
-        Occupied slots are stacked into columnar arrays (one base64 byte
-        array for all genomes, one per objective/metadata column) so
-        serializing a full 1000-slot Ω stays off the per-generation hot
-        path; metadata columns with a numeric/bool dtype travel as byte
-        arrays, anything else falls back to a JSON value list.  The document
-        is cached keyed by :attr:`n_updates` — Ω only changes through
-        accepted offers, so checkpoints taken while Ω is quiet reuse the
-        previous serialization for free.  Genomes must expose
-        ``probabilities`` — Ω is the paper's RR-specific structure and only
-        ever stores RR matrices.
+        Cached keyed by :attr:`n_updates`: Ω only changes through accepted
+        offers, so checkpoints taken while it is quiet reuse the document.
         """
-        cached = getattr(self, "_state_cache", None)
+        cached = self._state_cache
         if cached is not None and cached[0] == self._n_updates:
             return cached[1]
-        occupied = [
-            (slot, member) for slot, member in enumerate(self._slots) if member is not None
-        ]
+        members = self.members()
         document: dict[str, Any] = {
             "size": self.size,
             "n_updates": self._n_updates,
-            "slots": [slot for slot, _ in occupied],
+            "slots": np.flatnonzero(np.isfinite(self._utilities)).tolist(),
         }
-        if occupied:
-            members = [member for _, member in occupied]
-            first = np.asarray(members[0].genome.probabilities)
-            genomes = np.empty((len(members), *first.shape))
-            for row, member in enumerate(members):
-                genomes[row] = member.genome.probabilities
-            document["genomes"] = encode_array(genomes)
-            document["objectives"] = encode_array(
-                np.stack([member.objectives for member in members])
-            )
-            document["feasible"] = encode_array(
-                np.array([member.feasible for member in members], dtype=bool)
-            )
-            document["metadata"] = _columnar_metadata(members)
+        if members.size:
+            document["genomes"] = encode_array(members.genomes)
+            document["objectives"] = encode_array(members.objectives)
+            document["feasible"] = encode_array(members.feasible)
+            document["metadata"] = {
+                key: {"column": encode_array(column)}
+                for key, column in members.metadata.items()
+            }
         self._state_cache = (self._n_updates, document)
         return document
 
-    def restore_state(
-        self, document: dict[str, Any], genome_builder: Callable[[np.ndarray], Any]
-    ) -> None:
-        """Restore the state captured by :meth:`state_document`.
-
-        ``genome_builder`` rebuilds a genome object from one stacked genome
-        row (the RR path passes :meth:`repro.rr.matrix.RRMatrix.
-        from_validated`).  The per-slot utility array is rebuilt from the
-        restored members, so the vectorized Ω pre-filter behaves identically
-        after a resume.
-        """
+    def restore_state(self, document: dict[str, Any]) -> None:
+        """Restore the state captured by :meth:`state_document`; the slot
+        utilities are rebuilt from the ``utility`` column."""
         if int(document["size"]) != self.size:
             raise OptimizationError(
                 f"checkpointed optimal set has {document['size']} slots, this one {self.size}"
             )
-        self._slots = [None] * self.size
         self._utilities = np.full(self.size, np.inf)
+        self._rows = None
         self._n_updates = int(document.get("n_updates", 0))
         self._state_cache = None
-        slots = document.get("slots", [])
-        if not slots:
-            return
-        genomes = decode_array(document["genomes"])
-        objectives = decode_array(document["objectives"])
-        feasible = decode_array(document["feasible"])
-        metadata = _metadata_rows(document.get("metadata", {}), len(slots))
-        for row, slot in enumerate(slots):
-            slot = int(slot)
-            member = Individual(
-                genome=genome_builder(genomes[row]),
-                objectives=objectives[row].copy(),
-                feasible=bool(feasible[row]),
-                metadata=metadata[row],
+        slots = np.asarray(document.get("slots", []), dtype=np.intp)
+        if slots.size:
+            members = Population(
+                genomes=decode_array(document["genomes"]),
+                objectives=decode_array(document["objectives"]),
+                feasible=decode_array(document["feasible"]),
+                metadata=_metadata_columns(document.get("metadata", {}), slots.size),
             )
-            self._slots[slot] = member
-            self._utilities[slot] = float(member.metadata["utility"])
+            self._store(members, np.arange(slots.size), slots)
+            self._utilities[slots] = members.metadata["utility"]
 
+    # -- views ------------------------------------------------------------------
     def slot_utilities(self) -> np.ndarray:
         """Read-only view of the per-slot utilities (+inf = empty slot)."""
         view = self._utilities.view()
         view.flags.writeable = False
         return view
 
-    def best_for_slot(self, slot: int) -> Individual | None:
-        """Current occupant of ``slot`` (None when empty)."""
-        if not 0 <= slot < self.size:
-            raise OptimizationError(f"slot {slot} out of range [0, {self.size})")
-        return self._slots[slot]
-
-    # -- views ------------------------------------------------------------------
     @property
     def n_updates(self) -> int:
         """Total number of accepted updates since creation."""
@@ -276,44 +228,19 @@ class OptimalSet:
     @property
     def n_occupied(self) -> int:
         """Number of non-empty slots."""
-        return sum(1 for slot in self._slots if slot is not None)
-
-    def members(self) -> list[Individual]:
-        """All stored individuals, ordered by privacy slot."""
-        return [slot for slot in self._slots if slot is not None]
-
-    def pareto_members(self) -> list[Individual]:
-        """The non-dominated subset of the stored individuals."""
-        return non_dominated(self.members())
+        return int(np.count_nonzero(np.isfinite(self._utilities)))
 
     def __len__(self) -> int:
         return self.n_occupied
 
-    def __iter__(self) -> Iterator[Individual]:
-        return iter(self.members())
+    def members(self) -> Population:
+        """The stored rows, in privacy-slot order."""
+        if self._rows is None:
+            return Population(
+                genomes=np.empty(0), objectives=np.empty((0, 0)), feasible=np.empty(0)
+            )
+        return self._rows.take(np.flatnonzero(np.isfinite(self._utilities)))
 
-    def best_utility_for_privacy(self, min_privacy: float) -> Individual | None:
-        """Best-utility member whose privacy is at least ``min_privacy``.
-
-        This is the user-facing query the paper motivates Ω with: "give me the
-        most useful matrix that achieves at least this much privacy".
-        """
-        candidates = [
-            member
-            for member in self.members()
-            if float(member.metadata["privacy"]) >= min_privacy
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda member: float(member.metadata["utility"]))
-
-    def best_privacy_for_utility(self, max_utility: float) -> Individual | None:
-        """Best-privacy member whose utility (MSE) is at most ``max_utility``."""
-        candidates = [
-            member
-            for member in self.members()
-            if float(member.metadata["utility"]) <= max_utility
-        ]
-        if not candidates:
-            return None
-        return max(candidates, key=lambda member: float(member.metadata["privacy"]))
+    def pareto_members(self) -> Population:
+        """The non-dominated subset of the stored rows, in slot order."""
+        return non_dominated(self.members())

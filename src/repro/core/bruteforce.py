@@ -13,13 +13,13 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.result import OptimizationResult, ParetoPoint
+from repro.core.result import OptimizationResult
 from repro.core.search_space import brute_force_is_feasible, rr_matrix_combinations
 from repro.data.distribution import CategoricalDistribution
-from repro.emoo.dominance import dominance_matrix_from_arrays
+from repro.emoo.dominance import non_dominated
+from repro.emoo.population import Population
 from repro.exceptions import OptimizationError
 from repro.metrics.evaluation import MatrixEvaluator
-from repro.rr.matrix import RRMatrix
 from repro.utils.validation import check_positive_int
 
 #: Matrices evaluated per :meth:`MatrixEvaluator.evaluate_batch` call: large
@@ -105,11 +105,10 @@ def brute_force_front(
     grid_shape = (len(columns),) * n
     n_enumerated = len(columns) ** n
     n_feasible = 0
-    # Running front as (stack, privacy, utility, max_posterior) rows in
-    # enumeration order; each chunk's feasible rows are merged into it and
-    # dominated rows dropped (dominance is transitive, so this equals the
-    # front of all feasible matrices).
-    front = (np.empty((0, n, n)), np.empty(0), np.empty(0), np.empty(0))
+    # Running front in enumeration order; each chunk's feasible rows are
+    # merged into it and dominated rows dropped (dominance is transitive, so
+    # this equals the front of all feasible matrices).
+    front: Population | None = None
     for start in range(0, n_enumerated, CHUNK_SIZE):
         flat = np.arange(start, min(start + CHUNK_SIZE, n_enumerated))
         # selection[b, j] is the grid column used as column j of matrix b,
@@ -119,23 +118,18 @@ def brute_force_front(
         evaluation = evaluator.evaluate_batch(stack)
         keep = np.flatnonzero(evaluation.feasible)
         n_feasible += keep.size
-        chunk = (stack, evaluation.privacy, evaluation.utility, evaluation.max_posterior)
-        candidates = [np.concatenate([held, new[keep]]) for held, new in zip(front, chunk)]
-        objectives = np.stack([-candidates[1], candidates[2]], axis=1)
-        survivors = ~dominance_matrix_from_arrays(objectives).any(axis=0)
-        front = tuple(column[survivors] for column in candidates)
-    stack, privacy, utility, worst = front
-    result = OptimizationResult(
-        points=tuple(
-            ParetoPoint(
-                matrix=RRMatrix(stack[index]),
-                privacy=float(privacy[index]),
-                utility=float(utility[index]),
-                max_posterior=float(worst[index]),
-            )
-            for index in range(len(privacy))
-        ),
-        n_generations=0,
-        n_evaluations=n_enumerated,
-    )
+        privacy, utility = evaluation.privacy[keep], evaluation.utility[keep]
+        chunk = Population(
+            genomes=stack[keep],
+            objectives=np.stack([-privacy, utility], axis=1),
+            feasible=np.ones(keep.size, dtype=bool),
+            metadata={
+                "privacy": privacy,
+                "utility": utility,
+                "max_posterior": evaluation.max_posterior[keep],
+            },
+        )
+        front = non_dominated(chunk if front is None else Population.concat(front, chunk))
+    assert front is not None  # the grid always has at least one matrix
+    result = OptimizationResult.from_populations(front, n_evaluations=n_enumerated)
     return BruteForceReport(result=result, n_enumerated=n_enumerated, n_feasible=n_feasible)

@@ -21,8 +21,8 @@ Warner-family seeding and the result boundary.  The whole loop is
 array-native: population and archive are structure-of-arrays
 :class:`~repro.emoo.population.Population` objects whose ``(P, n, n)``
 genome stack is built once per generation by the batch evaluator and only
-sliced by index afterwards.  ``Individual`` objects appear only at the
-result boundary and inside Ω.  The former list-based loop is preserved
+sliced by index afterwards, and Ω stores the same rows
+(:mod:`repro.core.archive`).  The former list-based loop is preserved
 verbatim outside the package, in the repository's ``oracles`` directory, for
 equivalence tests and benchmarks.
 """
@@ -49,7 +49,6 @@ from repro.core.problem import SINGULAR_UTILITY_PENALTY, RRMatrixProblem
 from repro.core.result import OptimizationResult
 from repro.data.distribution import CategoricalDistribution
 from repro.emoo.fidelity import FidelitySchedule, FidelityScheduler, evaluate_offspring
-from repro.emoo.individual import Individual
 from repro.emoo.population import Population
 from repro.emoo.spea2 import SPEA2Settings, spea2_generation
 from repro.emoo.termination import (
@@ -59,7 +58,6 @@ from repro.emoo.termination import (
 )
 from repro.exceptions import ValidationError
 from repro.metrics.privacy import check_bound_feasible
-from repro.rr.matrix import RRMatrix
 from repro.types import SeedLike, as_rng
 from repro.utils.logging import get_logger
 
@@ -67,7 +65,7 @@ logger = get_logger(__name__)
 
 #: Progress callback invoked after each generation with
 #: (generation index, archive, optimal set).
-ProgressCallback = Callable[[int, list[Individual], OptimalSet], None]
+ProgressCallback = Callable[[int, Population, OptimalSet], None]
 
 
 @dataclass
@@ -144,9 +142,9 @@ class OptRROptimizer:
         seed:
             Overrides ``config.seed`` when provided.
         on_generation:
-            Optional callback invoked after every generation.  The archive is
-            materialised as ``Individual`` views only when a callback is
-            registered.
+            Optional callback invoked after every generation with the
+            generation index, the archive and the optimal set Ω (the run's
+            live state: read it, do not modify it).
         checkpoint_path:
             Write resumable ``checkpoint`` documents to this file (see
             :meth:`driver`); resuming goes through
@@ -176,11 +174,7 @@ class OptRROptimizer:
         algorithm = driver.optimization
         for snapshot in driver.steps():
             if on_generation is not None:
-                on_generation(
-                    snapshot.generation,
-                    self._problem.population_to_individuals(algorithm.archive),
-                    algorithm.optimal_set,
-                )
+                on_generation(snapshot.generation, algorithm.archive, algorithm.optimal_set)
         result = driver.result()
         logger.debug(
             "OptRR finished: %d generations, %d evaluations, front size %d, "
@@ -240,14 +234,6 @@ class OptRROptimizer:
         return cls(prior, n_records, config)
 
     # -- internals -----------------------------------------------------------
-    def _offer_population(self, optimal_set: OptimalSet, population: Population) -> int:
-        """Offer every row of ``population`` to Ω (vectorized pre-filter;
-        ``Individual`` views are built only for accepted updates)."""
-        problem = self._problem
-        return optimal_set.offer_population(
-            population, lambda index: problem.population_individual(population, index)
-        )
-
     def _baseline_seed_population(
         self, rng: np.random.Generator, *, fidelity: float | None = None
     ) -> Population | None:
@@ -275,35 +261,6 @@ class OptRROptimizer:
         return self._problem.evaluate_population(
             self._problem.repair_stack(stack), fidelity=fidelity
         )
-
-    def _refresh_from_optimal_set(
-        self, population: Population, optimal_set: OptimalSet
-    ) -> None:
-        """Replace evolving candidates with strictly better Ω occupants of the
-        same privacy slot (the reverse direction of the Ω update).
-
-        One vectorized comparison against Ω's slot-utility array finds the
-        rows with a better occupant; only those rows are rewritten.  The
-        replaced row keeps its selection fitness (see
-        :meth:`Population.replace_row`).
-        """
-        feasible_rows = np.flatnonzero(population.feasible)
-        if feasible_rows.size == 0:
-            return
-        slots = optimal_set.slots_of(population.metadata["privacy"][feasible_rows])
-        occupant_utility = optimal_set.slot_utilities()[slots]
-        better = occupant_utility < population.metadata["utility"][feasible_rows]
-        for row, slot in zip(feasible_rows[better], slots[better]):
-            occupant = optimal_set.best_for_slot(int(slot))
-            if occupant is None:  # pragma: no cover - slot utility implies occupancy
-                continue
-            population.replace_row(
-                int(row),
-                genome=occupant.genome.probabilities,
-                objectives=occupant.objectives,
-                feasible=occupant.feasible,
-                metadata=occupant.metadata,
-            )
 
 
 class _OptRRSteppable(SteppableOptimization):
@@ -362,12 +319,12 @@ class _OptRRSteppable(SteppableOptimization):
         )
         baseline = optimizer._baseline_seed_population(rng, fidelity=setup_fidelity)
         optimal_set = OptimalSet(config.optimal_set_size)
-        optimizer._offer_population(optimal_set, population)
+        optimal_set.offer_population(population)
         # The full baseline sweep goes straight into Ω (O(1) per matrix); only
         # a thin, evenly spaced subset joins the evolving population so the
         # per-generation selection cost stays bounded.
         if baseline is not None:
-            optimizer._offer_population(optimal_set, baseline)
+            optimal_set.offer_population(baseline)
             stride = max(1, baseline.size // 25)
             population = Population.concat(
                 population, baseline.take(np.arange(0, baseline.size, stride))
@@ -377,7 +334,6 @@ class _OptRRSteppable(SteppableOptimization):
         self.optimal_set = optimal_set
 
     def step(self, rng: np.random.Generator, generation: int) -> StepOutcome:
-        optimizer = self._optimizer
         problem = self._problem
         optimal_set = self.optimal_set
         # 1-5. SPEA2's generation step: fitness assignment + environmental
@@ -397,14 +353,10 @@ class _OptRRSteppable(SteppableOptimization):
         # privacy levels they already occupy.  Low-fidelity rows carry
         # *upper-bound* utilities and are never offered to Ω — only
         # full-fidelity evaluations may enter the long-term store.
-        updates = optimizer._offer_population(
-            optimal_set, self._full_fidelity_rows(population)
-        )
-        updates += optimizer._offer_population(
-            optimal_set, self._full_fidelity_rows(archive)
-        )
-        optimizer._refresh_from_optimal_set(population, optimal_set)
-        optimizer._refresh_from_optimal_set(archive, optimal_set)
+        updates = optimal_set.offer_population(self._full_fidelity_rows(population))
+        updates += optimal_set.offer_population(self._full_fidelity_rows(archive))
+        optimal_set.refresh(population)
+        optimal_set.refresh(archive)
         self.population = population
         self.archive = archive
         front = archive.objectives[archive.feasible]
@@ -433,22 +385,18 @@ class _OptRRSteppable(SteppableOptimization):
 
     def finish(self, generation: int) -> OptimizationResult:
         front = self.optimal_set.pareto_members()
-        if not front:
+        if not front.size:
             # No feasible matrix was ever found (possible only with an
             # extremely tight delta); fall back to the archive so the caller
             # still gets diagnostics.
             assert self.archive is not None  # finish() follows at least one step
-            front = self._problem.population_to_individuals(self.archive)
-        return OptimizationResult.from_individuals(
+            front = self.archive
+        return OptimizationResult.from_populations(
             front,
             self.optimal_set.members(),
             n_generations=generation + 1,
             n_evaluations=self._problem.n_evaluations,
         )
-
-    def elite_individuals(self) -> list[Individual]:
-        assert self.archive is not None  # the driver steps before asking
-        return self._problem.population_to_individuals(self.archive)
 
     def hypervolume_reference(self) -> tuple[float, float]:
         # Objectives are (-privacy, utility-with-singular-penalty): privacy
@@ -514,5 +462,5 @@ class _OptRRSteppable(SteppableOptimization):
             else None
         )
         optimal_set = OptimalSet(int(document["optimal_set"]["size"]))
-        optimal_set.restore_state(document["optimal_set"], RRMatrix.from_validated)
+        optimal_set.restore_state(document["optimal_set"])
         self.optimal_set = optimal_set

@@ -11,7 +11,8 @@ through the batch engine
 (:meth:`~repro.metrics.evaluation.MatrixEvaluator.evaluate_batch`, the
 batched operators in :mod:`repro.core.operators`), so the operator math
 exists once, in the backend kernels.  :class:`~repro.rr.matrix.RRMatrix`
-objects appear only in the ``Individual`` views of the result boundary.
+objects appear only in the result
+(:meth:`repro.core.result.OptimizationResult.from_populations`).
 """
 
 from __future__ import annotations
@@ -27,11 +28,9 @@ from repro.core.operators import (
     random_initial_matrix,
 )
 from repro.data.distribution import CategoricalDistribution
-from repro.emoo.individual import Individual
 from repro.emoo.population import Population
 from repro.emoo.problem import Problem
 from repro.metrics.evaluation import MatrixEvaluator
-from repro.rr.matrix import RRMatrix
 from repro.utils.validation import check_in_unit_interval, check_positive_int
 
 #: Finite utility penalty substituted for the infinite MSE of non-invertible
@@ -151,9 +150,7 @@ class RRMatrixProblem(Problem):
         worst posterior and feasibility for the whole stack with batched
         linear algebra, and the stack itself becomes the population's genome
         array — no per-matrix ``RRMatrix`` construction or re-validation
-        happens inside the generation loop.  ``Individual`` views (with
-        :class:`RRMatrix` genomes) are materialised only at the result
-        boundary via :meth:`population_individual`.
+        happens inside the generation loop.
 
         ``fidelity`` (a scalar or per-row column in ``(0, 1]``) evaluates the
         stack at reduced fidelity (see :meth:`MatrixEvaluator.evaluate_batch`)
@@ -181,17 +178,6 @@ class RRMatrixProblem(Problem):
             feasible=np.asarray(evaluation.feasible, dtype=bool),
             metadata=metadata,
         )
-
-    def population_individual(self, population: Population, index: int) -> Individual:
-        """``Individual`` view of one population row (the array-to-object
-        boundary).  The genome row was produced by the engine's own operators,
-        so it wraps through the trusted :meth:`RRMatrix.from_validated` path
-        instead of re-validating per matrix."""
-        return population.individual(index, genome_builder=RRMatrix.from_validated)
-
-    def population_to_individuals(self, population: Population) -> list[Individual]:
-        """Materialise a whole population as ``Individual`` views."""
-        return population.to_individuals(genome_builder=RRMatrix.from_validated)
 
     def initial_population(
         self,

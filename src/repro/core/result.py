@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
-from repro.emoo.individual import Individual
+from repro.emoo.population import Population
 from repro.exceptions import OptimizationError
 from repro.rr.matrix import RRMatrix
 
@@ -32,17 +32,6 @@ class ParetoPoint:
     privacy: float
     utility: float
     max_posterior: float
-
-    @classmethod
-    def from_individual(cls, individual: Individual) -> "ParetoPoint":
-        """Convert an optimizer individual into a Pareto point."""
-        metadata = individual.metadata
-        return cls(
-            matrix=individual.genome,
-            privacy=float(metadata["privacy"]),
-            utility=float(metadata["utility"]),
-            max_posterior=float(metadata.get("max_posterior", float("nan"))),
-        )
 
 
 @dataclass(frozen=True)
@@ -121,20 +110,36 @@ class OptimizationResult:
             )
         return max(candidates, key=lambda point: point.privacy)
 
-    @staticmethod
-    def from_individuals(
-        front: Sequence[Individual],
-        optimal_set: Sequence[Individual] = (),
+    @classmethod
+    def from_populations(
+        cls,
+        front: Population,
+        optimal_set: Population | None = None,
         *,
         n_generations: int = 0,
         n_evaluations: int = 0,
     ) -> "OptimizationResult":
-        """Build a result object from optimizer individuals."""
-        return OptimizationResult(
-            points=tuple(ParetoPoint.from_individual(individual) for individual in front),
-            optimal_set_points=tuple(
-                ParetoPoint.from_individual(individual) for individual in optimal_set
-            ),
+        """Build a result from ``(P, n, n)`` matrix populations carrying
+        ``privacy``, ``utility`` and ``max_posterior`` metadata columns: the
+        front and, optionally, every occupied Ω slot."""
+        return cls(
+            points=_pareto_points(front),
+            optimal_set_points=_pareto_points(optimal_set) if optimal_set is not None else (),
             n_generations=n_generations,
             n_evaluations=n_evaluations,
         )
+
+
+def _pareto_points(population: Population) -> tuple[ParetoPoint, ...]:
+    """One :class:`ParetoPoint` per row.  The genome rows were produced or
+    checked by the engine, so they wrap without re-validation."""
+    metadata = population.metadata
+    return tuple(
+        ParetoPoint(
+            matrix=RRMatrix.from_validated(population.genomes[index]),
+            privacy=float(metadata["privacy"][index]),
+            utility=float(metadata["utility"][index]),
+            max_posterior=float(metadata["max_posterior"][index]),
+        )
+        for index in range(population.size)
+    )

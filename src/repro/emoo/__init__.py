@@ -12,7 +12,6 @@ OptRR optimizer runs SPEA2's own generation step
 (:func:`~repro.emoo.spea2.spea2_generation`) plus the Ω optimal set.
 """
 
-from repro.emoo.individual import Individual
 from repro.emoo.dominance import (
     dominance_matrix_from_arrays,
     non_dominated,
@@ -60,7 +59,6 @@ __all__ = [
     "GenerationSnapshot",
     "GenerationState",
     "HypervolumeStagnation",
-    "Individual",
     "MaxGenerations",
     "OptimizationDriver",
     "SteppableOptimization",

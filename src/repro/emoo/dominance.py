@@ -7,15 +7,16 @@ be driven towards feasibility).
 
 Everything here is array-first: the dominance matrix, non-dominated filtering
 and non-dominated sorting all operate on plain ``(size, n_objectives)``
-objective arrays (plus a feasibility mask) via broadcasting.  The one
-``Individual``-list function, :func:`non_dominated`, is the result boundary.
+objective arrays (plus a feasibility mask) via broadcasting;
+:func:`non_dominated` filters a whole
+:class:`~repro.emoo.population.Population`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.emoo.individual import Individual, objectives_array
+from repro.emoo.population import Population
 
 
 def dominance_matrix_from_arrays(
@@ -40,13 +41,11 @@ def dominance_matrix_from_arrays(
     return matrix
 
 
-def non_dominated(population: list[Individual]) -> list[Individual]:
-    """Return the non-dominated subset of ``population``."""
-    if not population:
-        return []
-    feasible = np.array([individual.feasible for individual in population], dtype=bool)
-    dominated = dominance_matrix_from_arrays(objectives_array(population), feasible).any(axis=0)
-    return [individual for individual, flag in zip(population, dominated) if not flag]
+def non_dominated(population: Population) -> Population:
+    """The non-dominated rows of ``population`` (constrained dominance), in
+    their original order."""
+    matrix = dominance_matrix_from_arrays(population.objectives, population.feasible)
+    return population.take(np.flatnonzero(~matrix.any(axis=0)))
 
 
 def pareto_ranks_from_arrays(

@@ -25,7 +25,6 @@ from repro.emoo.driver import (
     workload_fingerprint,
 )
 from repro.emoo.fidelity import FidelitySchedule, FidelityScheduler, evaluate_offspring
-from repro.emoo.individual import Individual
 from repro.emoo.population import Population
 from repro.emoo.problem import Problem, make_offspring
 from repro.emoo.termination import MaxGenerations, TerminationCriterion
@@ -33,8 +32,9 @@ from repro.types import SeedLike, as_rng
 from repro.utils.arrays import decode_array, encode_array
 from repro.utils.validation import check_in_unit_interval, check_positive_int
 
-#: Callback invoked after each generation with (generation index, population).
-GenerationCallback = Callable[[int, list[Individual]], None]
+#: Callback invoked after each generation with (generation index, population);
+#: the population is the run's live state, to be read, not modified.
+GenerationCallback = Callable[[int, Population], None]
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,14 @@ class NSGA2Settings:
 
 @dataclass
 class NSGA2Result:
-    """Outcome of an NSGA-II run."""
+    """Outcome of an NSGA-II run: the final population with its Pareto
+    ``ranks`` and per-front ``crowding`` distances (aligned row by row),
+    and the population's non-dominated subset."""
 
-    population: list[Individual]
-    front: list[Individual]
+    population: Population
+    front: Population
+    ranks: np.ndarray
+    crowding: np.ndarray
     n_generations: int
     n_evaluations: int
 
@@ -119,19 +123,16 @@ class NSGA2:
         Thin wrapper over the stepwise driver (:meth:`driver`).  Array-native:
         rank and crowding live as arrays alongside a structure-of-arrays
         :class:`~repro.emoo.population.Population`; the crowded binary
-        tournament draws and decides every pair in one vectorized step;
-        per-individual attribute writes happen only at the result boundary.
+        tournament draws and decides every pair in one vectorized step.
 
         ``on_generation`` mirrors the SPEA2 callback: it receives the
-        generation index and the surviving population as ``Individual``
-        views (rank and crowding annotated), materialised only when a
-        callback is registered.
+        generation index and the surviving population.
         """
         driver = self.driver()
         algorithm = driver.optimization
         for snapshot in driver.steps():
             if on_generation is not None:
-                on_generation(snapshot.generation, algorithm.elite_individuals())
+                on_generation(snapshot.generation, algorithm.population)
         return driver.result()
 
     def driver(
@@ -271,22 +272,14 @@ class _NSGA2Steppable(SteppableOptimization):
             self.fidelity.adapt(elapsed_seconds, deadline_seconds)
 
     def finish(self, generation: int) -> NSGA2Result:
-        individuals = self.elite_individuals()
-        front = non_dominated(individuals)
         return NSGA2Result(
-            population=individuals,
-            front=front,
+            population=self.population,
+            front=non_dominated(self.population),
+            ranks=self.ranks,
+            crowding=self.crowding,
             n_generations=generation + 1,
             n_evaluations=self.n_evaluations,
         )
-
-    def elite_individuals(self) -> list[Individual]:
-        # Result boundary: materialise views with their rank/crowding fields.
-        individuals = self._algorithm.problem.population_to_individuals(self.population)
-        for index, individual in enumerate(individuals):
-            individual.rank = int(self.ranks[index])
-            individual.crowding = float(self.crowding[index])
-        return individuals
 
     def setup_fingerprint(self) -> str:
         from dataclasses import asdict

@@ -2,9 +2,9 @@
 
 The generation loop of every algorithm in this package is dominated by
 population-level math: dominance matrices, pairwise distances, fitness
-reductions, index-based selection.  Shuttling per-candidate ``Individual``
-objects through Python lists puts object construction and attribute access on
-that hot path.  :class:`Population` removes it: one object holds the whole
+reductions, index-based selection.  Shuttling per-candidate objects through
+Python lists would put object construction and attribute access on that hot
+path.  :class:`Population` removes it: one object holds the whole
 population as parallel arrays — a stacked genome array, an ``(P, m)``
 objective matrix, a feasibility mask, columnar metadata and a fitness
 vector — and every algorithm step works on index arrays over those columns.
@@ -13,12 +13,12 @@ Genomes are stacked once, at the boundary where candidates enter the engine
 (:meth:`repro.core.problem.RRMatrixProblem.evaluate_population` produces the
 ``(P, n, n)`` stack directly from the batch evaluator), and only sliced by
 index thereafter; no per-generation re-packing, validation or unpacking
-happens inside the loop.  ``Individual`` remains as a thin *view* for the
-result boundary: :meth:`Population.individual` / :meth:`to_individuals`
-materialise per-candidate objects only when a caller asks for them.
+happens inside the loop.
 
 Every problem speaks stacks (:class:`repro.emoo.problem.Problem`), so
-SPEA2, NSGA-II and OptRR all run on this one representation.
+SPEA2, NSGA-II and OptRR all run on this one representation, and it is
+also their result type and the row layout of OptRR's optimal set Ω
+(:mod:`repro.core.archive`).
 
 Fitness freshness is tracked with a generation stamp
 (:attr:`Population.fitness_generation`): environmental selection stamps the
@@ -30,28 +30,10 @@ re-assignment the list-based loop performed cannot silently reappear.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
 
 import numpy as np
 
-from repro.emoo.individual import Individual
 from repro.exceptions import OptimizationError
-
-#: Builds a genome object from one row of the stacked genome array (used by
-#: the ``Individual`` views of array-backed populations).
-GenomeBuilder = Callable[[np.ndarray], Any]
-
-
-def _metadata_scalar(value: Any) -> Any:
-    """Convert a numpy scalar metadata entry to the plain Python value the
-    list-based engine stored (floats stay floats, bools stay bools)."""
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    return value
 
 
 @dataclass
@@ -117,24 +99,27 @@ class Population:
 
     # -- construction ---------------------------------------------------------
     @classmethod
-    def concat(cls, first: "Population", second: "Population") -> "Population":
-        """Concatenate two populations (the per-generation union ``Q_t + V_t``).
+    def concat(cls, *populations: "Population") -> "Population":
+        """Concatenate populations row-wise (e.g. the per-generation union
+        ``Q_t + V_t``).
 
         Fitness is *not* carried over: the union is about to go through a
         fresh fitness assignment, and a stale stamp must not survive the
         concatenation.
         """
-        if set(first.metadata) != set(second.metadata):
-            raise OptimizationError(
-                "cannot concatenate populations with different metadata columns "
-                f"({sorted(first.metadata)} != {sorted(second.metadata)})"
-            )
+        first = populations[0]
+        for other in populations[1:]:
+            if set(other.metadata) != set(first.metadata):
+                raise OptimizationError(
+                    "cannot concatenate populations with different metadata columns "
+                    f"({sorted(first.metadata)} != {sorted(other.metadata)})"
+                )
         return cls(
-            genomes=np.concatenate([first.genomes, second.genomes]),
-            objectives=np.concatenate([first.objectives, second.objectives]),
-            feasible=np.concatenate([first.feasible, second.feasible]),
+            genomes=np.concatenate([part.genomes for part in populations]),
+            objectives=np.concatenate([part.objectives for part in populations]),
+            feasible=np.concatenate([part.feasible for part in populations]),
             metadata={
-                key: np.concatenate([first.metadata[key], second.metadata[key]])
+                key: np.concatenate([part.metadata[key] for part in populations])
                 for key in first.metadata
             },
         )
@@ -165,29 +150,6 @@ class Population:
             fitness_generation=self.fitness_generation,
         )
 
-    def replace_row(
-        self,
-        index: int,
-        *,
-        genome: np.ndarray,
-        objectives: np.ndarray,
-        feasible: bool,
-        metadata: dict[str, Any],
-    ) -> None:
-        """Overwrite one candidate in place (the Ω back-injection step).
-
-        The row's fitness value is deliberately *kept*: the injected candidate
-        inherits the selection fitness of the member it replaces, so the
-        archive's generation stamp stays truthful for mating selection.  (The
-        list-based loop reset the fitness to NaN and papered over it with a
-        redundant re-assignment; see ``docs/architecture.md``.)
-        """
-        self.genomes[index] = genome
-        self.objectives[index] = np.asarray(objectives, dtype=np.float64)
-        self.feasible[index] = bool(feasible)
-        for key, column in self.metadata.items():
-            column[index] = metadata[key]
-
     # -- fitness --------------------------------------------------------------
     def set_fitness(self, fitness: np.ndarray, generation: int) -> None:
         """Store the fitness column and stamp the generation it belongs to."""
@@ -213,26 +175,3 @@ class Population:
                 f"mating selection runs at generation {generation}"
             )
         return self.fitness
-
-    # -- views ----------------------------------------------------------------
-    def individual(self, index: int, genome_builder: GenomeBuilder | None = None) -> Individual:
-        """Materialise one row as an :class:`Individual` view."""
-        genome = self.genomes[index]
-        if genome_builder is not None:
-            genome = genome_builder(genome)
-        individual = Individual(
-            genome=genome,
-            objectives=self.objectives[index].copy(),
-            feasible=bool(self.feasible[index]),
-            metadata={
-                key: _metadata_scalar(column[index])
-                for key, column in self.metadata.items()
-            },
-        )
-        if not np.isnan(self.fitness[index]):
-            individual.fitness = float(self.fitness[index])
-        return individual
-
-    def to_individuals(self, genome_builder: GenomeBuilder | None = None) -> list[Individual]:
-        """Materialise the whole population as ``Individual`` views."""
-        return [self.individual(index, genome_builder) for index in range(self.size)]

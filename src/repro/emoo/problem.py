@@ -19,7 +19,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.emoo.individual import Individual
 from repro.emoo.population import Population
 
 
@@ -69,11 +68,6 @@ class Problem(ABC):
     def repair_stack(self, stack: np.ndarray) -> np.ndarray:
         """Repair a stack after variation (default: no repair)."""
         return stack
-
-    def population_to_individuals(self, population: Population) -> list[Individual]:
-        """``Individual`` views of a population (the result boundary); the
-        default keeps the raw genome rows."""
-        return population.to_individuals()
 
     def fingerprint_document(self) -> dict[str, Any]:
         """JSON-compatible identity of this problem, hashed into checkpoint

@@ -31,7 +31,6 @@ from repro.emoo.driver import (
 )
 from repro.emoo.fidelity import FidelitySchedule, FidelityScheduler, evaluate_offspring
 from repro.emoo.fitness import spea2_fitness_from_arrays
-from repro.emoo.individual import Individual
 from repro.emoo.population import Population
 from repro.emoo.problem import Problem, make_offspring
 from repro.emoo.selection import (
@@ -45,8 +44,9 @@ from repro.utils.validation import check_in_unit_interval, check_positive_int
 
 logger = get_logger(__name__)
 
-#: Callback invoked after each generation with (generation index, archive).
-GenerationCallback = Callable[[int, list[Individual]], None]
+#: Callback invoked after each generation with (generation index, archive);
+#: the archive is the run's live state, to be read, not modified.
+GenerationCallback = Callable[[int, Population], None]
 
 
 @dataclass(frozen=True)
@@ -147,8 +147,8 @@ class SPEA2Result:
         Total number of objective evaluations performed.
     """
 
-    archive: list[Individual]
-    front: list[Individual]
+    archive: Population
+    front: Population
     n_generations: int
     n_evaluations: int
 
@@ -196,7 +196,7 @@ class SPEA2:
         algorithm = driver.optimization
         for snapshot in driver.steps():
             if on_generation is not None:
-                on_generation(snapshot.generation, algorithm.elite_individuals())
+                on_generation(snapshot.generation, algorithm.archive)
         result = driver.result()
         logger.debug(
             "SPEA2 finished after %d generations (%d evaluations, front size %d)",
@@ -289,17 +289,12 @@ class _SPEA2Steppable(SteppableOptimization):
         final = spea2_environmental_selection(
             Population.concat(self.population, self.archive), algorithm.settings, generation
         )
-        final_archive = algorithm.problem.population_to_individuals(final)
-        front = non_dominated(final_archive)
         return SPEA2Result(
-            archive=final_archive,
-            front=front,
+            archive=final,
+            front=non_dominated(final),
             n_generations=generation + 1,
             n_evaluations=self.n_evaluations,
         )
-
-    def elite_individuals(self) -> list[Individual]:
-        return self._algorithm.problem.population_to_individuals(self.archive)
 
     def setup_fingerprint(self) -> str:
         from dataclasses import asdict

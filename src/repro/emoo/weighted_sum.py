@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.emoo.dominance import non_dominated
-from repro.emoo.individual import Individual
+from repro.emoo.population import Population
 from repro.emoo.problem import Problem, make_offspring
 from repro.exceptions import OptimizationError
 from repro.types import SeedLike, as_rng
@@ -44,11 +44,12 @@ class WeightedSumSettings:
 
 @dataclass
 class WeightedSumResult:
-    """Outcome of the weighted-sum sweep: the best individual found per
-    weight, plus the non-dominated subset of those."""
+    """Outcome of the weighted-sum sweep: the best row found per weight
+    (one row per weight, in sweep order), plus the non-dominated subset of
+    those."""
 
-    best_per_weight: list[Individual]
-    front: list[Individual]
+    best_per_weight: Population
+    front: Population
     n_evaluations: int
 
 
@@ -87,7 +88,7 @@ class WeightedSumGA:
         weights = np.linspace(0.0, 1.0, settings.n_weights)
         n_elite = max(1, int(settings.elite_fraction * settings.population_size))
         n_children = settings.population_size - n_elite
-        best_per_weight: list[Individual] = []
+        best_rows: list[Population] = []
         # A common objective scale, estimated from a random sample, keeps the
         # two objectives comparable inside the scalarisation.
         sample = problem.initial_population(settings.population_size, rng)
@@ -116,8 +117,8 @@ class WeightedSumGA:
                 population = problem.evaluate_population(stack)
                 n_evaluations += population.size
             fitness = _scalar_fitness(population.objectives, population.feasible, weight, scales)
-            best = population.take(np.array([np.argmin(fitness)]))
-            best_per_weight.extend(problem.population_to_individuals(best))
+            best_rows.append(population.take(np.array([np.argmin(fitness)])))
+        best_per_weight = Population.concat(*best_rows)
         front = non_dominated(best_per_weight)
         return WeightedSumResult(
             best_per_weight=best_per_weight, front=front, n_evaluations=n_evaluations

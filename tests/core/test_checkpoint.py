@@ -9,7 +9,10 @@ approximate comparisons.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,13 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
+from repro.cli import main
 from repro.core.archive import OptimalSet
 from repro.emoo.driver import population_from_document, population_to_document
 from repro.core.problem import RRMatrixProblem
 from repro.data.synthetic import normal_distribution
 from repro.emoo.population import Population
 from repro.exceptions import OptimizationError, ValidationError
-from repro.rr.matrix import RRMatrix
 from repro.utils.arrays import decode_array, encode_array
 
 
@@ -165,27 +168,76 @@ class TestOptimalSetRoundTrip:
         rng = np.random.default_rng(seed)
         population = problem.initial_population(12, rng)
         optimal_set = OptimalSet(size=64)
-        optimal_set.offer_population(
-            population, lambda index: problem.population_individual(population, index)
-        )
+        optimal_set.offer_population(population)
         document = json_round_trip(optimal_set.state_document())
         restored = OptimalSet(size=64)
-        restored.restore_state(document, RRMatrix.from_validated)
+        restored.restore_state(document)
         assert restored.n_updates == optimal_set.n_updates
         assert restored.n_occupied == optimal_set.n_occupied
         assert restored.slot_utilities().tobytes() == optimal_set.slot_utilities().tobytes()
-        for original, rebuilt in zip(optimal_set.members(), restored.members()):
-            assert rebuilt.genome.probabilities.tobytes() == (
-                original.genome.probabilities.tobytes()
-            )
-            assert rebuilt.objectives.tobytes() == original.objectives.tobytes()
-            assert rebuilt.metadata == original.metadata
-            assert rebuilt.feasible == original.feasible
+        original, rebuilt = optimal_set.members(), restored.members()
+        assert rebuilt.genomes.tobytes() == original.genomes.tobytes()
+        assert rebuilt.objectives.tobytes() == original.objectives.tobytes()
+        assert rebuilt.feasible.tobytes() == original.feasible.tobytes()
+        assert set(rebuilt.metadata) == set(original.metadata)
+        for key, column in original.metadata.items():
+            assert rebuilt.metadata[key].dtype == column.dtype
+            assert rebuilt.metadata[key].tobytes() == column.tobytes()
 
     def test_size_mismatch_is_rejected(self):
         document = OptimalSet(size=8).state_document()
         with pytest.raises(OptimizationError, match="slots"):
-            OptimalSet(size=16).restore_state(document, RRMatrix.from_validated)
+            OptimalSet(size=16).restore_state(document)
+
+
+#: Checkpoints of one small run (n=4, P=10, |Ω|=100) written by the
+#: list-based Ω: after generation 2 in the column layout, and after a
+#: resume to generation 4, where new members got ``__rows__`` metadata.
+LEGACY_CHECKPOINTS = Path(__file__).parent / "data"
+#: sha256 of the result document both resume to at ``--generations 8`` (the
+#: uninterrupted 8-generation result of the same run).
+LEGACY_RESULT_SHA256 = "cfc92861f2964a8852d1fa9f3b15eeac45d0a4ea765fded82aca52e647666d83"
+
+
+class TestLegacyCheckpoints:
+    @pytest.mark.parametrize("name", ["checkpoint_columns.json", "checkpoint_rows.json"])
+    def test_resumes_to_the_recorded_result(self, tmp_path, capsys, name):
+        checkpoint = tmp_path / name  # resuming writes back to the checkpoint
+        shutil.copyfile(LEGACY_CHECKPOINTS / name, checkpoint)
+        output = tmp_path / "result.json"
+        assert main(
+            ["optimize", "--resume", str(checkpoint), "--generations", "8",
+             "--output", str(output)]
+        ) == 0
+        assert hashlib.sha256(output.read_bytes()).hexdigest() == LEGACY_RESULT_SHA256
+        omega = json.loads(checkpoint.read_text(encoding="utf-8"))["state"]["optimal_set"]
+        assert all("column" in entry for entry in omega["metadata"].values())
+
+    def test_both_layouts_resume_to_the_same_checkpoint(self, tmp_path, capsys):
+        """The ``__rows__`` reader restores the same columns (dtypes
+        included) as the column reader: both runs end in equal checkpoints."""
+        documents = []
+        for name in ("checkpoint_columns.json", "checkpoint_rows.json"):
+            checkpoint = tmp_path / name
+            shutil.copyfile(LEGACY_CHECKPOINTS / name, checkpoint)
+            assert main(["optimize", "--resume", str(checkpoint), "--generations", "8"]) == 0
+            document = json.loads(checkpoint.read_text(encoding="utf-8"))
+            document.pop("elapsed_seconds")
+            documents.append(document)
+        assert documents[0] == documents[1]
+
+    def test_unknown_metadata_layout_is_usage_error(self, tmp_path, capsys):
+        document = json.loads(
+            (LEGACY_CHECKPOINTS / "checkpoint_columns.json").read_text(encoding="utf-8")
+        )
+        metadata = document["state"]["optimal_set"]["metadata"]
+        metadata["utility"] = {"values": decode_array(metadata["utility"]["column"]).tolist()}
+        checkpoint = tmp_path / "ck.json"
+        checkpoint.write_text(json.dumps(document), encoding="utf-8")
+        assert main(["optimize", "--resume", str(checkpoint), "--generations", "4"]) == 2
+        error = capsys.readouterr().err
+        assert "metadata layout" in error
+        assert "Traceback" not in error
 
 
 class TestRngStateRoundTrip:

@@ -71,9 +71,10 @@ def optrr_result_key(result) -> str:
 
 
 def generic_result_key(result) -> list:
+    front = result.front
     return sorted(
-        (tuple(member.objectives.tolist()), repr(member.genome))
-        for member in result.front
+        (tuple(objectives.tolist()), genome.tobytes())
+        for objectives, genome in zip(front.objectives, front.genomes)
     )
 
 
@@ -150,10 +151,10 @@ class TestResumeEquivalence:
             )
 
         def key(result):
+            front = result.front
             return sorted(
-                tuple(member.objectives.tolist())
-                + tuple(member.genome.probabilities.ravel().tolist())
-                for member in result.front
+                tuple(objectives.tolist()) + tuple(genome.ravel().tolist())
+                for objectives, genome in zip(front.objectives, front.genomes)
             )
 
         reference = make().run()
@@ -297,9 +298,9 @@ class TestDriverBehaviour:
         """Satellite: NSGA2.run accepts the same callback shape as SPEA2."""
         seen = []
 
-        def callback(generation, individuals):
-            seen.append((generation, len(individuals)))
-            assert all(member.rank >= 0 for member in individuals)
+        def callback(generation, population):
+            seen.append((generation, len(population)))
+            assert population.objectives.shape == (len(population), 2)
 
         result = make_nsga2().run(on_generation=callback)
         assert [generation for generation, _ in seen] == list(range(N_GENERATIONS))

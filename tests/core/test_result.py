@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.result import OptimizationResult, ParetoPoint
-from repro.emoo.individual import Individual
+from repro.emoo.population import Population
 from repro.exceptions import OptimizationError
 from repro.rr.schemes import warner_matrix
 
@@ -17,6 +17,19 @@ def make_point(privacy: float, utility: float) -> ParetoPoint:
         privacy=privacy,
         utility=utility,
         max_posterior=0.5,
+    )
+
+
+def make_population(matrix, privacy: float, utility: float, max_posterior: float) -> Population:
+    return Population(
+        genomes=matrix.probabilities[None],
+        objectives=np.array([[-privacy, utility]]),
+        feasible=np.ones(1, dtype=bool),
+        metadata={
+            "privacy": np.array([privacy]),
+            "utility": np.array([utility]),
+            "max_posterior": np.array([max_posterior]),
+        },
     )
 
 
@@ -31,12 +44,9 @@ def result() -> OptimizationResult:
 
 class TestParetoPoint:
     def test_from_individual(self):
-        individual = Individual(
-            genome=warner_matrix(3, 0.7),
-            objectives=np.array([-0.4, 1e-3]),
-            metadata={"privacy": 0.4, "utility": 1e-3, "max_posterior": 0.77},
-        )
-        point = ParetoPoint.from_individual(individual)
+        population = make_population(warner_matrix(3, 0.7), 0.4, 1e-3, 0.77)
+        point = OptimizationResult.from_populations(population).points[0]
+        assert np.array_equal(point.matrix.probabilities, warner_matrix(3, 0.7).probabilities)
         assert point.privacy == pytest.approx(0.4)
         assert point.utility == pytest.approx(1e-3)
         assert point.max_posterior == pytest.approx(0.77)
@@ -78,14 +88,11 @@ class TestOptimizationResult:
             result.best_matrix_for_utility(1e-7)
 
     def test_from_individuals(self):
-        individuals = [
-            Individual(
-                genome=warner_matrix(3, 0.6),
-                objectives=np.array([-0.2, 1e-3]),
-                metadata={"privacy": 0.2, "utility": 1e-3, "max_posterior": 0.8},
-            )
-        ]
-        result = OptimizationResult.from_individuals(individuals, n_generations=3, n_evaluations=30)
+        population = make_population(warner_matrix(3, 0.6), 0.2, 1e-3, 0.8)
+        result = OptimizationResult.from_populations(
+            population, population, n_generations=3, n_evaluations=30
+        )
         assert len(result) == 1
+        assert len(result.optimal_set_points) == 1
         assert result.n_generations == 3
         assert result.n_evaluations == 30

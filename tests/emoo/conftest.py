@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.emoo.individual import Individual
 from repro.emoo.population import Population
 from repro.emoo.problem import Problem
 from repro.exceptions import OptimizationError
+
+from oracles.individual import Individual
 
 
 class SphereTradeoffProblem(Problem):

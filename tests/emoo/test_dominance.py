@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.emoo.dominance import non_dominated, non_dominated_objectives
+from repro.emoo.population import Population
 from tests.emoo.conftest import make_individual
 
 from oracles.emoo import dominance_matrix, dominates, pareto_ranks
@@ -58,11 +59,22 @@ class TestDominanceMatrix:
         assert dominance_matrix([]).shape == (0, 0)
 
 
+def as_population(individuals) -> Population:
+    return Population(
+        genomes=np.arange(float(len(individuals))),
+        objectives=np.array([individual.objectives for individual in individuals]).reshape(
+            len(individuals), 2
+        ),
+        feasible=np.array([individual.feasible for individual in individuals], dtype=bool),
+    )
+
+
 class TestNonDominated:
     def test_square_population(self, square_population):
-        front = non_dominated(square_population)
+        front = non_dominated(as_population(square_population))
         assert len(front) == 1
-        np.testing.assert_allclose(front[0].objectives, [0.0, 0.0])
+        np.testing.assert_allclose(front.objectives[0], [0.0, 0.0])
+        assert front.genomes.tolist() == [2.0]
 
     def test_tradeoff_front_is_kept(self):
         population = [
@@ -71,11 +83,11 @@ class TestNonDominated:
             make_individual([1.0, 0.0]),
             make_individual([0.9, 0.9]),
         ]
-        front = non_dominated(population)
-        assert len(front) == 3
+        front = non_dominated(as_population(population))
+        assert front.genomes.tolist() == [0.0, 1.0, 2.0]
 
     def test_empty(self):
-        assert non_dominated([]) == []
+        assert len(non_dominated(as_population([]))) == 0
 
 
 class TestParetoRanks:

@@ -1,12 +1,13 @@
-"""Tests for repro.emoo.individual."""
+"""Tests for the ``Individual`` list form (oracles.individual)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.emoo.individual import Individual, objectives_array
 from repro.exceptions import OptimizationError
+
+from oracles.individual import Individual, objectives_array
 
 
 class TestIndividual:

@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.emoo.individual import objectives_array
 from repro.emoo.nsga2 import NSGA2, NSGA2Settings, crowding_distances_from_objectives
 from repro.emoo.termination import MaxGenerations
 from tests.emoo.conftest import make_individual
+
+from oracles.individual import objectives_array
 
 
 class TestCrowdingDistance:
@@ -48,8 +49,7 @@ class TestNSGA2Run:
         )
         result = algorithm.run()
         assert len(result.front) > 5
-        for individual in result.front:
-            f1, f2 = individual.objectives
+        for f1, f2 in result.front.objectives:
             assert np.sqrt(f1) + np.sqrt(f2) == pytest.approx(1.0, abs=0.05)
 
     def test_population_size_is_maintained(self, sphere_problem):
@@ -62,6 +62,6 @@ class TestNSGA2Run:
         settings = NSGA2Settings(population_size=12)
         first = NSGA2(sphere_problem, settings, termination=MaxGenerations(6), seed=9).run()
         second = NSGA2(sphere_problem, settings, termination=MaxGenerations(6), seed=9).run()
-        assert sorted(tuple(i.objectives) for i in first.front) == sorted(
-            tuple(i.objectives) for i in second.front
+        assert sorted(map(tuple, first.front.objectives.tolist())) == sorted(
+            map(tuple, second.front.objectives.tolist())
         )

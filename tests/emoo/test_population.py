@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.emoo.individual import Individual
 from repro.emoo.population import Population
 from repro.exceptions import OptimizationError
 
@@ -128,32 +127,32 @@ class TestFitnessStamp:
 
 
 class TestViews:
-    def test_individual_view_builds_genome_and_metadata(self):
-        population = make_population(3)
-        view = population.individual(1, genome_builder=lambda row: row.sum())
-        assert isinstance(view, Individual)
-        assert view.genome == pytest.approx(population.genomes[1].sum())
-        # Columnar metadata comes back as plain Python scalars.
-        assert isinstance(view.metadata["privacy"], float)
-        assert isinstance(view.metadata["flag"], bool)
-
-    def test_individual_view_carries_stamped_fitness(self):
-        population = make_population(2)
-        population.set_fitness(np.array([0.5, 1.5]), generation=0)
-        assert population.individual(1).fitness == 1.5
-
     def test_replace_row_overwrites_data_but_keeps_fitness(self):
-        population = make_population(3)
-        population.set_fitness(np.array([0.1, 0.2, 0.3]), generation=1)
-        population.replace_row(
-            1,
-            genome=np.full((3, 3), 0.5),
-            objectives=np.array([9.0, 9.0]),
-            feasible=False,
-            metadata={"privacy": 0.42, "flag": True},
+        """Ω back-injection overwrites a row in place; the row keeps its
+        selection fitness and the population keeps its stamp."""
+        from repro.core.archive import OptimalSet
+
+        privacy = np.array([0.1, 0.42, 0.9])
+        population = Population(
+            genomes=np.zeros((3, 3, 3)),
+            objectives=np.stack([-privacy, np.full(3, 1e-3)], axis=1),
+            feasible=np.ones(3, dtype=bool),
+            metadata={"privacy": privacy, "utility": np.full(3, 1e-3)},
         )
-        assert np.array_equal(population.objectives[1], [9.0, 9.0])
-        assert not population.feasible[1]
-        assert population.metadata["privacy"][1] == 0.42
+        population.set_fitness(np.array([0.1, 0.2, 0.3]), generation=1)
+        omega = OptimalSet(10)
+        omega.offer_population(
+            Population(
+                genomes=np.full((1, 3, 3), 0.5),
+                objectives=np.array([[-0.43, 1e-4]]),
+                feasible=np.ones(1, dtype=bool),
+                metadata={"privacy": np.array([0.43]), "utility": np.array([1e-4])},
+            )
+        )
+        omega.refresh(population)
+        assert np.array_equal(population.objectives[1], [-0.43, 1e-4])
+        assert np.array_equal(population.genomes[1], np.full((3, 3), 0.5))
+        assert population.metadata["privacy"][1] == 0.43
+        assert population.metadata["utility"][0] == 1e-3  # other slots untouched
         assert population.fitness[1] == 0.2  # selection fitness survives
         assert population.fitness_generation == 1

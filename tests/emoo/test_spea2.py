@@ -35,8 +35,7 @@ class TestSPEA2Run:
         assert len(result.front) > 5
         # Every front member should be near the true Pareto set x in [0, 1],
         # i.e. sqrt(f1) + sqrt(f2) ~= 1.
-        for individual in result.front:
-            f1, f2 = individual.objectives
+        for f1, f2 in result.front.objectives:
             assert np.sqrt(f1) + np.sqrt(f2) == pytest.approx(1.0, abs=0.05)
 
     def test_front_spreads_over_the_tradeoff(self, sphere_problem):
@@ -47,7 +46,7 @@ class TestSPEA2Run:
             seed=5,
         )
         result = algorithm.run()
-        xs = sorted(individual.metadata["x"] for individual in result.front)
+        xs = sorted(result.front.metadata["x"])
         assert xs[0] < 0.2
         assert xs[-1] > 0.8
 
@@ -60,8 +59,8 @@ class TestSPEA2Run:
         settings = SPEA2Settings(population_size=12, archive_size=12)
         first = SPEA2(sphere_problem, settings, termination=MaxGenerations(8), seed=11).run()
         second = SPEA2(sphere_problem, settings, termination=MaxGenerations(8), seed=11).run()
-        first_front = sorted(tuple(ind.objectives) for ind in first.front)
-        second_front = sorted(tuple(ind.objectives) for ind in second.front)
+        first_front = sorted(map(tuple, first.front.objectives.tolist()))
+        second_front = sorted(map(tuple, second.front.objectives.tolist()))
         assert first_front == second_front
 
     def test_generation_callback_invoked(self, sphere_problem):

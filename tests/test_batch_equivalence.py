@@ -22,7 +22,6 @@ from repro.core.operators import (
     proportional_column_mutation_batch,
 )
 from repro.data.distribution import CategoricalDistribution
-from repro.emoo.individual import Individual
 from repro.metrics.evaluation import MatrixEvaluator
 from repro.metrics.privacy import (
     adversary_accuracy,
@@ -37,6 +36,7 @@ from repro.metrics.privacy import (
 from repro.rr.matrix import RRMatrix, random_rr_matrix, stack_matrices, unstack_matrices
 
 from oracles.emoo import pareto_ranks, pareto_ranks_reference
+from oracles.individual import Individual
 from oracles.rr import _rebalance_column, enforce_privacy_bound, evaluate_scalar
 
 _rebalance_columns_batch = ArrayKernels._rebalance_columns

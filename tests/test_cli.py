@@ -476,6 +476,28 @@ class TestOptimizeCheckpointResume:
         ) == 0
         assert full.read_bytes() == resumed.read_bytes()
 
+    @pytest.mark.parametrize("flags", [[], ["--fidelity"]], ids=["plain", "fidelity"])
+    def test_resumed_checkpoint_equals_uninterrupted(self, tmp_path, capsys, flags):
+        """A resumed run writes the same checkpoint (Ω layout included) as
+        an uninterrupted one; only the wall-clock field may differ."""
+        full = tmp_path / "full.ck.json"
+        resumed = tmp_path / "resumed.ck.json"
+        every = ["--checkpoint-every", "1"]
+        assert main(
+            FAST_OPTIMIZE + flags + ["--generations", "6", "--checkpoint", str(full)] + every
+        ) == 0
+        assert main(
+            FAST_OPTIMIZE + flags + ["--generations", "2", "--checkpoint", str(resumed)] + every
+        ) == 0
+        assert main(["optimize", "--resume", str(resumed), "--generations", "6"]) == 0
+
+        def timeless(path):
+            document = json.loads(path.read_text(encoding="utf-8"))
+            document.pop("elapsed_seconds")
+            return document
+
+        assert timeless(resumed) == timeless(full)
+
     def test_resume_of_finished_run_replays_result(self, tmp_path, capsys):
         full = tmp_path / "full.json"
         replay = tmp_path / "replay.json"

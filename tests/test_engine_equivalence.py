@@ -232,7 +232,7 @@ class TestBackendTrajectoryEquivalence:
             for _ in driver.steps():
                 pass
             result = driver.result()
-            front = np.array(sorted(tuple(m.objectives) for m in result.front))
+            front = np.array(sorted(map(tuple, result.front.objectives.tolist())))
         return front, result.n_evaluations, driver.rng.bit_generator.state
 
     @pytest.mark.parametrize("engine", ["optrr", "spea2", "nsga2"])

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.config import OptRRConfig
@@ -74,9 +75,10 @@ def optrr_result_key(result) -> str:
 
 
 def generic_result_key(result) -> list:
+    front = result.front
     return sorted(
-        (tuple(member.objectives.tolist()), repr(member.genome))
-        for member in result.front
+        (tuple(objectives.tolist()), genome.tobytes())
+        for objectives, genome in zip(front.objectives, front.genomes)
     )
 
 
@@ -144,9 +146,8 @@ class TestFidelityRunInvariants:
         for _ in driver.steps():
             pass
         optimal = driver.optimization.optimal_set
-        for member in optimal.members():
-            fidelity = member.metadata.get("fidelity")
-            assert fidelity is None or fidelity >= 1.0
+        fidelity = optimal.members().metadata.get("fidelity")
+        assert fidelity is None or np.all(fidelity >= 1.0)
 
     def test_fidelity_run_differs_from_exact_run(self):
         """Sanity: scheduling genuinely changes the search (otherwise the
