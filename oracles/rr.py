@@ -3,8 +3,9 @@
 Each function here is the original scalar (or broadcast) implementation of
 something the batched kernels now compute for whole stacks: the paper's
 column crossover, proportional column mutation and privacy-bound repair
-(Sections V-E to V-G), the per-matrix privacy/utility evaluation, and the
-``(n, N)`` broadcast disguise.  The equivalence suites and the benchmarks
+(Sections V-E to V-G), the per-matrix privacy/utility evaluation, the
+``(n, N)`` broadcast disguise, and the per-token ``optrr disguise`` code
+stream reader and per-code writer.  The equivalence suites and the benchmarks
 compare the batch path against them.  They never run on a hot path, and
 must never change: a fix that moves their output is a change to the
 contract every fixed-seed trajectory and cache key depends on.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import SingularMatrixError, ValidationError
+from repro.exceptions import DataError, SingularMatrixError, ValidationError
 from repro.metrics.evaluation import MatrixEvaluation, MatrixEvaluator
 from repro.metrics.privacy import max_posterior, posterior_matrix, privacy_score
 from repro.metrics.utility import utility_score
@@ -247,3 +248,37 @@ def broadcast_disguise_reference(
     cdf[-1, :] = 1.0
     column_cdfs = cdf[:, codes]  # the (n, N) intermediate — reference only
     return (uniforms[None, :] > column_cdfs).sum(axis=0).astype(np.int64)
+
+
+def iter_code_chunks_reference(stream, chunk_size: int):
+    """The historical per-token ``optrr disguise`` reader (frozen
+    specification of :func:`repro.rr.streaming.iter_code_chunks`).
+
+    One ``int()`` per token, one ``chunk_size`` buffer at a time.  A token
+    outside int64 is accepted here and only fails when its chunk is
+    converted, with an ``OverflowError`` (the defect the array reader
+    reports as a ``DataError`` naming the token).
+    """
+    buffer: list[int] = []
+    for line in stream:
+        for token in line.split():
+            try:
+                buffer.append(int(token))
+            except ValueError as exc:
+                raise DataError(f"input code {token!r} is not an integer") from exc
+            if len(buffer) == chunk_size:
+                yield np.asarray(buffer, dtype=np.int64)
+                buffer = []
+    if buffer:
+        yield np.asarray(buffer, dtype=np.int64)
+
+
+class CodeWriterReference:
+    """The historical per-code ``optrr disguise`` writer (frozen
+    specification of :class:`repro.rr.streaming.CodeWriter`)."""
+
+    def __init__(self, stream, n_categories: int) -> None:
+        self._stream = stream
+
+    def write(self, codes: np.ndarray) -> None:
+        self._stream.write("\n".join(map(str, codes.tolist())) + "\n")

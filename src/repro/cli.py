@@ -812,29 +812,15 @@ def _resolve_disguise_matrix(args: argparse.Namespace):
     return name, matrix
 
 
-def _iter_code_chunks(stream, chunk_size: int):
-    """Parse whitespace-separated integer codes from a text stream in
-    ``chunk_size`` batches (bounded memory: one chunk buffered at a time)."""
-    import numpy as np
-
-    buffer: list[int] = []
-    for line in stream:
-        for token in line.split():
-            try:
-                buffer.append(int(token))
-            except ValueError as exc:
-                raise DataError(f"input code {token!r} is not an integer") from exc
-            if len(buffer) == chunk_size:
-                yield np.asarray(buffer, dtype=np.int64)
-                buffer = []
-    if buffer:
-        yield np.asarray(buffer, dtype=np.int64)
-
-
 def _command_disguise(args: argparse.Namespace) -> int:
     from repro.io import dump_canonical_json
     from repro.pipeline.spec import matrix_digest
-    from repro.rr.streaming import OnlineEstimator, StreamingDisguiser
+    from repro.rr.streaming import (
+        CodeWriter,
+        OnlineEstimator,
+        StreamingDisguiser,
+        iter_code_chunks,
+    )
 
     if args.chunk_size < 1:
         return _fail("--chunk-size must be at least 1")
@@ -879,11 +865,12 @@ def _command_disguise(args: argparse.Namespace) -> int:
         if close_input:
             input_stream.close()
         return _fail(f"could not open --output: {exc}")
+    writer = CodeWriter(output_stream, matrix.n_categories)
     try:
-        for chunk in _iter_code_chunks(input_stream, args.chunk_size):
+        for chunk in iter_code_chunks(input_stream, args.chunk_size):
             disguised = disguiser.disguise_chunk(chunk)
             estimate = estimator.update(disguised)
-            output_stream.write("\n".join(map(str, disguised.tolist())) + "\n")
+            writer.write(disguised)
     except (DataError, ValidationError, EstimationError) as exc:
         return _fail(str(exc))
     except OSError as exc:

@@ -24,7 +24,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from repro.core.result import OptimizationResult, ParetoPoint
 from repro.exceptions import CheckpointCorruptionError, ValidationError
 from repro.faults.injector import truncate_checkpoint_file
 from repro.rr.matrix import RRMatrix
+from repro.utils.arrays import render_json_floats
 from repro.utils.logging import get_logger
 
 logger = get_logger(__name__)
@@ -48,11 +49,15 @@ FORMAT_VERSION = 1
 
 def matrix_to_dict(matrix: RRMatrix) -> dict[str, Any]:
     """Serialize an RR matrix to a JSON-compatible dictionary."""
+    return _matrix_document(matrix, matrix.probabilities.tolist())
+
+
+def _matrix_document(matrix: RRMatrix, probabilities: Any) -> dict[str, Any]:
     return {
         "format_version": FORMAT_VERSION,
         "type": "rr_matrix",
         "n_categories": matrix.n_categories,
-        "probabilities": matrix.probabilities.tolist(),
+        "probabilities": probabilities,
     }
 
 
@@ -71,12 +76,20 @@ def matrix_from_dict(document: dict[str, Any]) -> RRMatrix:
 
 def result_to_dict(result: OptimizationResult, *, include_optimal_set: bool = False) -> dict[str, Any]:
     """Serialize an optimization result (front + metadata) to a dictionary."""
+    return _result_document(result, include_optimal_set, matrix_to_dict)
+
+
+def _result_document(
+    result: OptimizationResult,
+    include_optimal_set: bool,
+    matrix_document: Callable[[RRMatrix], Any],
+) -> dict[str, Any]:
     def point_to_dict(point: ParetoPoint) -> dict[str, Any]:
         return {
             "privacy": point.privacy,
             "utility": point.utility,
             "max_posterior": point.max_posterior,
-            "matrix": matrix_to_dict(point.matrix),
+            "matrix": matrix_document(point.matrix),
         }
 
     document: dict[str, Any] = {
@@ -553,13 +566,52 @@ def load_matrix(path: str | Path) -> RRMatrix:
     return matrix_from_dict(document)
 
 
+#: Placeholder for a matrix's probabilities in the envelope ``save_result``
+#: renders through ``json.dumps``; no other string of an
+#: ``optimization_result`` document can render to the same JSON text.
+_PROBABILITIES_SLOT = "\x00probabilities"
+
+#: ``json.dumps`` indent level the probabilities list opens on:
+#: document -> points -> point -> matrix -> probabilities.
+_PROBABILITIES_LEVEL = 4
+
+
 def save_result(
     result: OptimizationResult, path: str | Path, *, include_optimal_set: bool = False
 ) -> Path:
-    """Write an optimization result to a JSON file and return the path."""
+    """Write an optimization result to a JSON file and return the path.
+
+    The file holds exactly ``json.dumps(result_to_dict(...), indent=2)``.
+    The envelope still goes through :func:`json.dumps`, with a placeholder
+    for each matrix's probabilities; the ``(k, n, n)`` probability stack is
+    rendered once by :func:`~repro.utils.arrays.render_json_floats` and
+    spliced into the placeholders' places.
+    """
     path = Path(path)
-    document = result_to_dict(result, include_optimal_set=include_optimal_set)
-    path.write_text(json.dumps(document, indent=2), encoding="utf-8")
+    document = _result_document(
+        result,
+        include_optimal_set,
+        lambda matrix: _matrix_document(matrix, _PROBABILITIES_SLOT),
+    )
+    pieces = json.dumps(document, indent=2).split(json.dumps(_PROBABILITIES_SLOT))
+    points = result.points + (result.optimal_set_points if include_optimal_set else ())
+    matrices = [point.matrix.probabilities for point in points]
+    if len({matrix.shape for matrix in matrices}) == 1:
+        stacks = [np.stack(matrices)]
+    else:  # no points, or mixed domains: one stack per matrix
+        stacks = [matrix[np.newaxis] for matrix in matrices]
+    texts = [
+        text
+        for stack in stacks
+        for text in render_json_floats(stack, indent=2, level=_PROBABILITIES_LEVEL)
+    ]
+    if len(pieces) != len(texts) + 1:  # pragma: no cover - the slot string is reserved
+        raise ValidationError("optimization result envelope lost a matrix placeholder")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(pieces[0])
+        for text, piece in zip(texts, pieces[1:]):
+            handle.write(text)
+            handle.write(piece)
     return path
 
 

@@ -26,11 +26,11 @@ the streaming runtime.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any, Iterator, TextIO
 
 import numpy as np
 
-from repro.exceptions import EstimationError, ValidationError
+from repro.exceptions import DataError, EstimationError, ValidationError
 from repro.rr.estimation import (
     DistributionEstimate,
     InversionEstimator,
@@ -58,6 +58,74 @@ def iter_chunks(codes: np.ndarray, chunk_size: int) -> Iterator[np.ndarray]:
     codes = np.asarray(codes)
     for start in range(0, codes.size, chunk_size):
         yield codes[start : start + chunk_size]
+
+
+#: Characters of text :func:`iter_code_chunks` reads per batch, before
+#: completing the batch's last line.
+CODE_BATCH_CHARS = 1 << 16
+
+_INT64 = np.iinfo(np.int64)
+
+
+def iter_code_chunks(stream: TextIO, chunk_size: int) -> Iterator[np.ndarray]:
+    """Parse whitespace-separated integer codes from a text stream into
+    successive ``chunk_size`` int64 arrays (the last one ragged).
+
+    Text is read in bounded batches completed to a whole line, so no token
+    straddles a batch; the batches' tokens are re-chunked to exactly
+    ``chunk_size`` and each chunk is converted by one array call.  Memory
+    stays bounded by one chunk plus one batch of tokens.
+
+    Codes are whatever ``int()`` accepts (``+5``, ``1_0``, non-ASCII
+    digits).  The first token of a chunk that is not an integer, or failing
+    that the first one outside int64, raises
+    :class:`~repro.exceptions.DataError` naming it; the chunks before it
+    have been yielded by then.
+    """
+    check_positive_int(chunk_size, "chunk_size")
+    tokens: list[str] = []
+    while batch := stream.read(CODE_BATCH_CHARS):
+        if not batch.endswith("\n"):
+            batch += stream.readline()
+        tokens += batch.split()
+        start = 0
+        while len(tokens) - start >= chunk_size:
+            yield _parse_codes(tokens[start : start + chunk_size])
+            start += chunk_size
+        del tokens[:start]
+    if tokens:
+        yield _parse_codes(tokens)
+
+
+def _parse_codes(tokens: list[str]) -> np.ndarray:
+    try:
+        return np.array(tokens, dtype=np.int64)
+    except (ValueError, OverflowError):
+        pass
+    # Error path only: rescan token by token for the message.
+    values = []
+    for token in tokens:
+        try:
+            values.append(int(token))
+        except ValueError as exc:
+            raise DataError(f"input code {token!r} is not an integer") from exc
+    for token, value in zip(tokens, values):
+        if not _INT64.min <= value <= _INT64.max:
+            raise DataError(f"input code {token!r} is out of the 64-bit integer range")
+    return np.array(values, dtype=np.int64)
+
+
+class CodeWriter:
+    """Write codes of a ``[0, n_categories)`` domain to a text stream, one
+    per line — the text ``"\\n".join(map(str, codes)) + "\\n"`` — by one
+    gather over precomputed per-code lines and one join per chunk."""
+
+    def __init__(self, stream: TextIO, n_categories: int) -> None:
+        self._stream = stream
+        self._lines = np.array([f"{code}\n" for code in range(n_categories)], dtype=object)
+
+    def write(self, codes: np.ndarray) -> None:
+        self._stream.write("".join(self._lines[codes].tolist()))
 
 
 def _plain_state(value: Any) -> Any:

@@ -13,7 +13,9 @@ The load-bearing invariants:
 
 from __future__ import annotations
 
+import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,14 +27,21 @@ from repro.rr.estimation import IterativeEstimator, estimate_distribution
 from repro.rr.matrix import RRMatrix, random_rr_matrix
 from repro.rr.randomize import RandomizedResponse
 from repro.rr.schemes import uniform_perturbation_matrix, warner_matrix
+from repro.rr import streaming
 from repro.rr.streaming import (
+    CodeWriter,
     CountAccumulator,
     OnlineEstimator,
     StreamingDisguiser,
     iter_chunks,
+    iter_code_chunks,
 )
 
-from oracles.rr import broadcast_disguise_reference
+from oracles.rr import (
+    CodeWriterReference,
+    broadcast_disguise_reference,
+    iter_code_chunks_reference,
+)
 
 SETTINGS = settings(
     max_examples=25,
@@ -56,6 +65,98 @@ class TestIterChunks:
     def test_rejects_nonpositive_chunk_size(self):
         with pytest.raises(ValidationError):
             list(iter_chunks(np.arange(3), 0))
+
+
+#: Tokens of the code-stream equivalence suite: what ``int()`` accepts
+#: (signs, underscores, non-ASCII digits, int64 extremes), what it rejects,
+#: and integers outside int64.
+VALID_TOKENS = ("0", "3", "17", "+5", "-2", "1_0", "\u0663", "007",
+                "9223372036854775807", "-9223372036854775808")
+INVALID_TOKENS = ("1.0", "x", "2**63", "0x1", "_1")
+OVERFLOW_TOKENS = ("9223372036854775808", "-9223372036854775809", "99999999999999999999")
+SEPARATORS = (" ", "  ", "\t", "\n", "\r\n", "\n\n", " \n\t ", "\x0b")
+
+
+@st.composite
+def code_streams(draw):
+    """Token lists and the text they are spread over; most are all-valid."""
+    pool = st.sampled_from(VALID_TOKENS)
+    if draw(st.integers(0, 3)) == 0:
+        pool = st.sampled_from(VALID_TOKENS + INVALID_TOKENS + OVERFLOW_TOKENS)
+    tokens = draw(st.lists(pool, max_size=40))
+    separators = draw(
+        st.lists(st.sampled_from(SEPARATORS), min_size=len(tokens), max_size=len(tokens))
+    )
+    text = draw(st.sampled_from(("", "\n", " ")))
+    text += "".join(token + separator for token, separator in zip(tokens, separators))
+    if tokens and draw(st.booleans()):
+        text = text.rstrip()  # no final newline
+    return tokens, text
+
+
+def _read_outcome(reader, text: str, chunk_size: int):
+    """``(chunks, error)`` of reading ``text``; ``error`` is the DataError
+    message, the OverflowError type, or None."""
+    chunks = []
+    try:
+        for chunk in reader(io.StringIO(text), chunk_size):
+            assert chunk.dtype == np.int64
+            chunks.append(chunk.tolist())
+    except DataError as exc:
+        return chunks, str(exc)
+    except OverflowError:
+        return chunks, OverflowError
+    return chunks, None
+
+
+class TestCodeStreams:
+    """The array code-stream reader/writer against the frozen per-token
+    reader and per-code writer (``oracles.rr``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(stream=code_streams(), data=st.data())
+    def test_reader_matches_per_token_reference(self, stream, data):
+        tokens, text = stream
+        chunk_size = data.draw(st.integers(1, len(tokens) + 2))
+        batch_chars = data.draw(st.sampled_from((1, 2, 5, streaming.CODE_BATCH_CHARS)))
+        with mock.patch.object(streaming, "CODE_BATCH_CHARS", batch_chars):
+            chunks, error = _read_outcome(iter_code_chunks, text, chunk_size)
+        expected_chunks, expected_error = _read_outcome(
+            iter_code_chunks_reference, text, chunk_size
+        )
+        assert chunks == expected_chunks
+        if expected_error is OverflowError:
+            # The reference's defect: it accepts the token and dies converting
+            # its chunk.  The array reader names the first such token instead.
+            first = next(token for token in tokens if token in OVERFLOW_TOKENS)
+            assert error == f"input code {first!r} is out of the 64-bit integer range"
+        else:
+            assert error == expected_error
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n=st.integers(1, 120),
+        count=st.integers(1, 500),
+        chunk_size=st.integers(1, 600),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_writer_matches_per_code_reference(self, n, count, chunk_size, seed):
+        codes = np.random.default_rng(seed).integers(0, n, size=count)
+        streams = io.StringIO(), io.StringIO()
+        writers = CodeWriter(streams[0], n), CodeWriterReference(streams[1], n)
+        for chunk in iter_chunks(codes, chunk_size):
+            for writer in writers:
+                writer.write(chunk)
+        assert streams[0].getvalue() == streams[1].getvalue()
+
+    def test_rejects_nonpositive_chunk_size(self):
+        with pytest.raises(ValidationError):
+            list(iter_code_chunks(io.StringIO("1 2"), 0))
+
+    def test_line_longer_than_a_batch_is_read_whole(self):
+        text = " ".join(["12"] * 50_000)  # one line, ~150k characters
+        chunks = list(iter_code_chunks(io.StringIO(text), 30_000))
+        assert [chunk.size for chunk in chunks] == [30_000, 20_000]
 
 
 class TestStreamingDisguiser:

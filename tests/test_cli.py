@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
 
 from repro.cli import main
+from repro.rr import streaming
+
+from oracles.rr import CodeWriterReference, iter_code_chunks_reference
+
+#: A code stream over a 12-category domain with every token form ``int()``
+#: accepts (sign, underscore, non-ASCII digit) and tabs, CRLF, blank lines
+#: and no final newline.
+EDGE_CODES = "0 +1\t2\r\n\n3 1_0\n\u0663  2\n\n\t1 0\r\n11 3"
 
 #: Tiny optimizer budget for campaign CLI tests.
 FAST_CAMPAIGN = ["--generations", "5", "--population", "8"]
@@ -440,6 +449,50 @@ class TestDisguise:
         assert not output.exists()
         assert main(argv + ["--estimator", "iterative"]) == 0
         assert len(output.read_text(encoding="utf-8").split()) == 4
+
+
+    @pytest.mark.parametrize("chunk_size", ["1", "3", "65536"])
+    @pytest.mark.parametrize(
+        "text", [EDGE_CODES, EDGE_CODES + " 4 1.0 5\n"], ids=["valid", "non-integer"]
+    )
+    def test_byte_identical_to_per_token_oracle_path(
+        self, tmp_path, capsys, monkeypatch, chunk_size, text
+    ):
+        """Codes on stdout and in --output, the report and the exit code
+        equal those of the frozen per-token reader and per-code writer."""
+        codes = tmp_path / "codes.txt"
+        codes.write_text(text, encoding="utf-8")
+        output, report = tmp_path / "disguised.txt", tmp_path / "report.json"
+        argv = ["disguise", str(codes), "--matrix", "warner:0.8", "--categories", "12",
+                "--chunk-size", chunk_size, "--seed", "5", "--report", str(report)]
+
+        def run():
+            outcomes = []
+            for extra in ([], ["--output", str(output)]):
+                output.unlink(missing_ok=True)
+                report.unlink(missing_ok=True)
+                code = main(argv + extra)
+                captured = capsys.readouterr()
+                outcomes.append((
+                    code, captured.out, captured.err,
+                    *(path.read_bytes() if path.exists() else None for path in (output, report)),
+                ))
+            return outcomes
+
+        array_path = run()
+        monkeypatch.setattr(streaming, "iter_code_chunks", iter_code_chunks_reference)
+        monkeypatch.setattr(streaming, "CodeWriter", CodeWriterReference)
+        assert array_path == run()
+        expected_exit = 0 if text == EDGE_CODES else 2
+        assert [outcome[0] for outcome in array_path] == [expected_exit] * 2
+
+    def test_out_of_range_code_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("0 99999999999999999999"))
+        assert main(["disguise", "--matrix", "warner:0.8", "--categories", "4"]) == 2
+        assert capsys.readouterr().err == (
+            "optrr: error: input code '99999999999999999999' is out of the "
+            "64-bit integer range\n"
+        )
 
 
 class TestArgumentErrors:

@@ -6,9 +6,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.config import OptRRConfig
 from repro.core.optimizer import OptRROptimizer
+from repro.core.result import OptimizationResult, ParetoPoint
 from repro.exceptions import RRMatrixError, ValidationError
 from repro.io import (
     dump_canonical_json,
@@ -107,6 +111,119 @@ class TestResultSerialization:
     def test_rejects_wrong_type(self):
         with pytest.raises(ValidationError):
             result_from_dict({"type": "rr_matrix", "format_version": 1})
+
+
+#: Entries that stress the float text path: signed zeros, the smallest
+#: subnormal and normal, exact 0/1, and 17-significant-digit values.
+EDGE_FLOATS = (
+    0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.0,
+    0.30000000000000004, 0.9999999999999999, 0.1, 1 / 3,
+)
+
+RESULT_SETTINGS = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@st.composite
+def float_stacks(draw, elements):
+    """``(k, n, n)`` stacks, k >= 1; half of them repeat one matrix k times."""
+    k, n = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    stack = draw(hnp.arrays(np.float64, (k, n, n), elements=elements))
+    if draw(st.booleans()):
+        stack = np.repeat(stack[:1], k, axis=0)
+    return stack
+
+
+def _result_from_stack(stack: np.ndarray, n_front: int) -> OptimizationResult:
+    points = [
+        ParetoPoint(RRMatrix.from_validated(matrix), 0.5 + index / 7, 1 / (index + 3), 0.8)
+        for index, matrix in enumerate(stack)
+    ]
+    return OptimizationResult(
+        points=tuple(points[:n_front]),
+        optimal_set_points=tuple(points[n_front:]),
+        n_generations=3,
+        n_evaluations=17,
+    )
+
+
+def _stochastic(stack: np.ndarray, fills: np.ndarray) -> np.ndarray:
+    """Normalize each column to sum to one (one-hot where it sums to zero)
+    and put ``fills`` (signed zeros, subnormals) into the exact-zero
+    entries, which moves no column sum out of tolerance."""
+    sums = stack.sum(axis=1, keepdims=True)
+    one_hot = np.zeros_like(stack)
+    one_hot[:, 0, :] = 1.0
+    stack = np.divide(stack, sums, out=one_hot, where=sums > 0)
+    zeros = stack == 0.0
+    stack[zeros] = np.resize(fills, zeros.sum())
+    return stack
+
+
+class TestSaveResultBytes:
+    """``save_result`` renders the probability stack on an array path; its
+    bytes must stay exactly ``json.dumps(result_to_dict(...), indent=2)``."""
+
+    @RESULT_SETTINGS
+    @given(
+        stack=float_stacks(
+            st.one_of(
+                st.sampled_from(EDGE_FLOATS),
+                st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+            )
+        ),
+        data=st.data(),
+    )
+    def test_bytes_equal_json_dumps(self, tmp_path_factory, stack, data):
+        n_front = data.draw(st.integers(1, len(stack)))
+        result = _result_from_stack(stack, n_front)
+        path = tmp_path_factory.mktemp("result") / "result.json"
+        for include_optimal_set in (False, True):
+            save_result(result, path, include_optimal_set=include_optimal_set)
+            expected = json.dumps(
+                result_to_dict(result, include_optimal_set=include_optimal_set), indent=2
+            )
+            assert path.read_bytes() == expected.encode("utf-8")
+
+    @RESULT_SETTINGS
+    @given(
+        stack=float_stacks(st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(0.0, 1.0))),
+        fills=hnp.arrays(np.float64, 150, elements=st.sampled_from(EDGE_FLOATS[:4])),
+        data=st.data(),
+    )
+    def test_load_round_trips_matrices_bit_exactly(self, tmp_path_factory, stack, fills, data):
+        stack = _stochastic(stack, fills)
+        n_front = data.draw(st.integers(1, len(stack)))
+        result = _result_from_stack(stack, n_front)
+        path = tmp_path_factory.mktemp("result") / "result.json"
+        save_result(result, path, include_optimal_set=True)
+        restored = load_result(path)
+        original = result.points + result.optimal_set_points
+        loaded = restored.points + restored.optimal_set_points
+        assert len(loaded) == len(original)
+        for before, after in zip(original, loaded):
+            bits = before.matrix.probabilities.view(np.uint64)
+            assert np.array_equal(after.matrix.probabilities.view(np.uint64), bits)
+
+    def test_empty_optimal_set_and_front(self, tmp_path):
+        path = tmp_path / "result.json"
+        for result in (
+            OptimizationResult(points=()),
+            _result_from_stack(np.eye(3)[np.newaxis], 1),
+        ):
+            save_result(result, path, include_optimal_set=True)
+            expected = json.dumps(result_to_dict(result, include_optimal_set=True), indent=2)
+            assert path.read_text(encoding="utf-8") == expected
+
+    def test_mixed_domains(self, tmp_path):
+        result = OptimizationResult(
+            points=(ParetoPoint(RRMatrix.identity(2), 0.1, 0.2, 1.0),),
+            optimal_set_points=(ParetoPoint(warner_matrix(3, 0.6), 0.3, 0.4, 0.7),),
+        )
+        path = save_result(result, tmp_path / "result.json", include_optimal_set=True)
+        expected = json.dumps(result_to_dict(result, include_optimal_set=True), indent=2)
+        assert path.read_text(encoding="utf-8") == expected
 
 
 class TestExperimentResultSerialization:
