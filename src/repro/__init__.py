@@ -16,6 +16,9 @@ provides:
 * privacy-preserving mining applications — :mod:`repro.mining`;
 * an experiment harness reproducing every figure — :mod:`repro.experiments`.
 
+Every package resolves its public names on first access
+(:mod:`repro._lazy`), so importing one layer loads no other.
+
 Quickstart
 ----------
 >>> from repro import OptRRConfig, OptRROptimizer, normal_distribution
@@ -27,74 +30,39 @@ Quickstart
 10
 """
 
-from repro.core import (
-    OptRRConfig,
-    OptRROptimizer,
-    OptimalSet,
-    OptimizationResult,
-    ParetoPoint,
-    RRMatrixProblem,
-    brute_force_front,
-    rr_matrix_combinations,
-)
-from repro.data import (
-    CategoricalDataset,
-    CategoricalDistribution,
-    adult_attribute_distribution,
-    gamma_distribution,
-    load_adult_like,
-    normal_distribution,
-    sample_dataset,
-    uniform_distribution,
-    zipf_distribution,
-)
-from repro.metrics import (
-    MatrixEvaluator,
-    privacy_score,
-    utility_score,
-)
-from repro.rr import (
-    InversionEstimator,
-    IterativeEstimator,
-    RRMatrix,
-    RandomizedResponse,
-    frapp_matrix,
-    uniform_perturbation_matrix,
-    warner_matrix,
-)
-from repro.analysis import ParetoFront, compare_fronts
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CategoricalDataset",
-    "CategoricalDistribution",
-    "InversionEstimator",
-    "IterativeEstimator",
-    "MatrixEvaluator",
-    "OptRRConfig",
-    "OptRROptimizer",
-    "OptimalSet",
-    "OptimizationResult",
-    "ParetoFront",
-    "ParetoPoint",
-    "RRMatrix",
-    "RRMatrixProblem",
-    "RandomizedResponse",
-    "adult_attribute_distribution",
-    "brute_force_front",
-    "compare_fronts",
-    "frapp_matrix",
-    "gamma_distribution",
-    "load_adult_like",
-    "normal_distribution",
-    "privacy_score",
-    "rr_matrix_combinations",
-    "sample_dataset",
-    "uniform_distribution",
-    "uniform_perturbation_matrix",
-    "utility_score",
-    "warner_matrix",
-    "zipf_distribution",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "CategoricalDataset": ".data",
+    "CategoricalDistribution": ".data",
+    "InversionEstimator": ".rr",
+    "IterativeEstimator": ".rr",
+    "MatrixEvaluator": ".metrics",
+    "OptRRConfig": ".core",
+    "OptRROptimizer": ".core",
+    "OptimalSet": ".core",
+    "OptimizationResult": ".core",
+    "ParetoFront": ".analysis",
+    "ParetoPoint": ".core",
+    "RRMatrix": ".rr",
+    "RRMatrixProblem": ".core",
+    "RandomizedResponse": ".rr",
+    "adult_attribute_distribution": ".data",
+    "brute_force_front": ".core",
+    "compare_fronts": ".analysis",
+    "frapp_matrix": ".rr",
+    "gamma_distribution": ".data",
+    "load_adult_like": ".data",
+    "normal_distribution": ".data",
+    "privacy_score": ".metrics",
+    "rr_matrix_combinations": ".core",
+    "sample_dataset": ".data",
+    "uniform_distribution": ".data",
+    "uniform_perturbation_matrix": ".rr",
+    "utility_score": ".metrics",
+    "warner_matrix": ".rr",
+    "zipf_distribution": ".data",
+})
+__all__ += ["__version__"]

@@ -1,29 +1,18 @@
 """Pareto-front analysis, comparison, aggregation, plotting and reporting."""
 
-from repro.analysis.front import ParetoFront
-from repro.analysis.compare import FrontComparison, compare_fronts
-from repro.analysis.plot import ascii_scatter
-from repro.analysis.report import format_front_table, format_comparison_table
-from repro.analysis.aggregate import (
-    ExperimentAggregate,
-    MetricAggregate,
-    aggregate_campaign_runs,
-    aggregate_experiment_runs,
-    aggregate_to_document,
-    format_aggregate_table,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentAggregate",
-    "FrontComparison",
-    "MetricAggregate",
-    "ParetoFront",
-    "aggregate_campaign_runs",
-    "aggregate_experiment_runs",
-    "aggregate_to_document",
-    "ascii_scatter",
-    "compare_fronts",
-    "format_aggregate_table",
-    "format_front_table",
-    "format_comparison_table",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ExperimentAggregate": ".aggregate",
+    "FrontComparison": ".compare",
+    "MetricAggregate": ".aggregate",
+    "ParetoFront": ".front",
+    "aggregate_campaign_runs": ".aggregate",
+    "aggregate_experiment_runs": ".aggregate",
+    "aggregate_to_document": ".aggregate",
+    "ascii_scatter": ".plot",
+    "compare_fronts": ".compare",
+    "format_aggregate_table": ".aggregate",
+    "format_front_table": ".report",
+    "format_comparison_table": ".report",
+})

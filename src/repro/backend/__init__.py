@@ -9,10 +9,11 @@ trace seam wrap the kernels and the equivalence suites substitute the frozen
 
 from __future__ import annotations
 
+from repro.backend.kernels import ArrayKernels
 from repro.exceptions import BackendError
 
 
-def active_backend() -> "ArrayKernels":
+def active_backend() -> ArrayKernels:
     """The kernel instance every hot-path call site dispatches to."""
     return _KERNELS
 
@@ -22,17 +23,12 @@ def backend_names() -> list[str]:
     return [_KERNELS.name]
 
 
-def get_backend(name: str) -> "ArrayKernels":
+def get_backend(name: str) -> ArrayKernels:
     """The kernel instance, looked up by its name (``"numpy"``)."""
     if name != _KERNELS.name:
         raise BackendError(f"unknown backend {name!r}; the only one is {_KERNELS.name!r}")
     return _KERNELS
 
-
-# Imported after the accessors: the kernels import repro.metrics, whose
-# import chain reaches call sites that import active_backend from this
-# partially initialised package.
-from repro.backend.kernels import ArrayKernels  # noqa: E402
 
 _KERNELS = ArrayKernels()
 

@@ -35,6 +35,32 @@ from repro.utils.linalg import one_norm_condition_estimate
 #: ``oracles.rr._EPSILON``.
 _EPSILON = 1e-12
 
+#: Matrices per LAPACK call in :meth:`ArrayKernels.batched_safe_inverses`:
+#: an exactly singular row sends only its own block down the screened path.
+INVERSE_BLOCK_ROWS = 128
+
+
+def _screened_inverses(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(inverses, candidates)`` of a stack holding an exactly singular row.
+
+    Rows ``slogdet`` finds singular are left zero and masked out; the rest
+    are inverted in one call (row by row should that still raise).
+    """
+    inverses = np.zeros_like(stack)
+    signs, log_determinants = np.linalg.slogdet(stack)
+    candidates = (signs != 0) & np.isfinite(log_determinants)
+    if candidates.any():
+        try:
+            inverses[candidates] = np.linalg.inv(stack[candidates])
+        except np.linalg.LinAlgError:  # pragma: no cover - slogdet said fine
+            for index in np.flatnonzero(candidates):
+                try:
+                    inverses[index] = np.linalg.inv(stack[index])
+                except np.linalg.LinAlgError:
+                    candidates[index] = False
+                    inverses[index] = 0.0
+    return inverses, candidates
+
 
 class ArrayKernels:
     """Batched-numpy kernels; :mod:`repro.backend` holds the one instance.
@@ -105,30 +131,23 @@ class ArrayKernels:
 
         Returns ``(inverses, invertible)``; rows failing the shared 1-norm
         condition rule are masked out (callers must consult the mask before
-        using a row).  The whole stack is inverted in one LAPACK call; only
-        when that raises (some row is exactly singular) are the rows screened
-        by ``slogdet`` first.  Batched ``getrf/getri`` factorises each matrix
-        independently, so both paths give the same inverses bit for bit.
+        using a row).  The stack is inverted in blocks of
+        :data:`INVERSE_BLOCK_ROWS` matrices, one LAPACK call per block; only
+        a block whose call raises (some row is exactly singular) has its rows
+        screened by ``slogdet`` and re-inverted, and its singular rows are
+        zero.  Batched ``getrf/getri`` factorises each matrix independently,
+        so every path gives the same inverses bit for bit.
         """
         if stack.shape[0] == 0:
             return np.zeros_like(stack), np.zeros(0, dtype=bool)
-        try:
-            inverses = np.linalg.inv(stack)
-            candidates = np.ones(stack.shape[0], dtype=bool)
-        except np.linalg.LinAlgError:
-            inverses = np.zeros_like(stack)
-            signs, log_determinants = np.linalg.slogdet(stack)
-            candidates = (signs != 0) & np.isfinite(log_determinants)
-            if candidates.any():
-                try:
-                    inverses[candidates] = np.linalg.inv(stack[candidates])
-                except np.linalg.LinAlgError:  # pragma: no cover - slogdet said fine
-                    for index in np.flatnonzero(candidates):
-                        try:
-                            inverses[index] = np.linalg.inv(stack[index])
-                        except np.linalg.LinAlgError:
-                            candidates[index] = False
-                            inverses[index] = 0.0
+        inverses = np.empty_like(stack)
+        candidates = np.ones(stack.shape[0], dtype=bool)
+        for start in range(0, stack.shape[0], INVERSE_BLOCK_ROWS):
+            block = slice(start, start + INVERSE_BLOCK_ROWS)
+            try:
+                inverses[block] = np.linalg.inv(stack[block])
+            except np.linalg.LinAlgError:
+                inverses[block], candidates[block] = _screened_inverses(stack[block])
         condition_estimates = one_norm_condition_estimate(stack, inverses)
         invertible = (
             candidates

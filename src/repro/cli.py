@@ -29,18 +29,12 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.analysis.aggregate import format_aggregate_table
-from repro.analysis.front import ParetoFront
-from repro.analysis.plot import ascii_scatter
-from repro.analysis.report import format_front_table, format_pipeline_table
-from repro.core.config import DEFAULT_LOW_FIDELITY_FRACTION, OptRRConfig
-from repro.emoo.driver import DEFAULT_CHECKPOINT_EVERY, checkpoint_scope
-from repro.core.optimizer import OptRROptimizer
-from repro.core.search_space import log10_rr_matrix_combinations
-from repro.data.distribution import CategoricalDistribution
-from repro.data.workload import resolve_workload_prior
+# Only numpy-free modules load at import: building the parser (and so
+# `optrr <subcommand> --help`) never imports numpy.  Each `_command_*` imports
+# the layers it runs on entry.
+from repro.core.config import DEFAULT_LOW_FIDELITY_FRACTION
 from repro.exceptions import (
     DataError,
     EstimationError,
@@ -49,23 +43,9 @@ from repro.exceptions import (
     OptimizationError,
     ValidationError,
 )
-from repro.experiments.campaign import (
-    DEFAULT_CAMPAIGN_RETRIES,
-    CampaignCache,
-    plan_campaign,
-    run_campaign,
-)
-from repro.experiments.registry import available_experiments, get_experiment
-from repro.experiments.runner import run_experiment
-from repro.pipeline import (
-    PipelineCache,
-    parse_seed_argument,
-    plan_pipeline,
-    run_pipeline,
-    schemes_from_front,
-)
-from repro.rr.family import scheme_family, family_names
-from repro.metrics.evaluation import MatrixEvaluator
+
+if TYPE_CHECKING:
+    from repro.data.distribution import CategoricalDistribution
 
 #: Default domain size for the synthetic priors when --categories is omitted.
 DEFAULT_CATEGORIES = 10
@@ -404,10 +384,14 @@ def _resolve_distribution(name: str, n_categories: int | None) -> CategoricalDis
     a property of the data, and an explicit ``--categories`` that contradicts
     it raises :class:`DataError` instead of being silently ignored.
     """
+    from repro.data.workload import resolve_workload_prior
+
     return resolve_workload_prior(name, n_categories, categories_label="--categories")
 
 
 def _command_list() -> int:
+    from repro.experiments.registry import available_experiments, get_experiment
+
     print("Available experiments:")
     for experiment_id in available_experiments():
         spec = get_experiment(experiment_id)
@@ -416,6 +400,10 @@ def _command_list() -> int:
 
 
 def _command_run(args: argparse.Namespace) -> int:
+    from repro.analysis.plot import ascii_scatter
+    from repro.emoo.driver import DEFAULT_CHECKPOINT_EVERY, checkpoint_scope
+    from repro.experiments.runner import run_experiment
+
     overrides = {}
     if args.generations is not None:
         overrides["n_generations"] = args.generations
@@ -456,6 +444,14 @@ def _command_run(args: argparse.Namespace) -> int:
 
 
 def _command_campaign(args: argparse.Namespace) -> int:
+    from repro.analysis.aggregate import format_aggregate_table
+    from repro.experiments.campaign import (
+        DEFAULT_CAMPAIGN_RETRIES,
+        CampaignCache,
+        plan_campaign,
+        run_campaign,
+    )
+
     if args.seeds < 1:
         return _fail("--seeds must be at least 1")
     if args.jobs < 1:
@@ -521,6 +517,11 @@ def _command_campaign(args: argparse.Namespace) -> int:
 
 
 def _command_optimize(args: argparse.Namespace) -> int:
+    from repro.analysis.front import ParetoFront
+    from repro.analysis.plot import ascii_scatter
+    from repro.analysis.report import format_front_table
+    from repro.io import save_result
+
     if args.checkpoint_every is not None and args.checkpoint_every < 1:
         return _fail("--checkpoint-every must be at least 1")
     if args.checkpoint_every is not None and args.checkpoint is None and args.resume is None:
@@ -551,8 +552,6 @@ def _command_optimize(args: argparse.Namespace) -> int:
     print(f"privacy range: [{low:.4f}, {high:.4f}]  "
           f"({len(result)} Pareto points, {result.n_evaluations} evaluations)")
     if output_path is not None:
-        from repro.io import save_result
-
         try:
             save_result(result, output_path)
         except OSError as exc:
@@ -563,6 +562,9 @@ def _command_optimize(args: argparse.Namespace) -> int:
 
 def _fresh_optimization(args: argparse.Namespace):
     """Run `optrr optimize` from scratch (optionally writing checkpoints)."""
+    from repro.core.config import OptRRConfig
+    from repro.core.optimizer import OptRROptimizer
+
     prior = _resolve_distribution(args.distribution, args.categories)
     if args.low_fidelity_fraction is not None:
         low_fidelity_fraction = args.low_fidelity_fraction
@@ -593,6 +595,7 @@ def _resumed_optimization(args: argparse.Namespace):
     checkpoint was written after termination.  Further checkpoints keep
     going to the same file unless ``--checkpoint`` redirects them.
     """
+    from repro.core.optimizer import OptRROptimizer
     from repro.io import load_checkpoint_with_fallback
 
     try:
@@ -653,6 +656,11 @@ def _parse_miner_param_arguments(arguments: Sequence[str]) -> dict[str, dict[str
 
 
 def _command_pipeline(args: argparse.Namespace) -> int:
+    from repro.analysis.report import format_pipeline_table
+    from repro.io import dump_canonical_json, load_result
+    from repro.pipeline.runner import PipelineCache, run_pipeline
+    from repro.pipeline.spec import parse_seed_argument, plan_pipeline, schemes_from_front
+
     if args.jobs < 1:
         return _fail("--jobs must be at least 1")
     resilience_error = _validate_resilience_arguments(args)
@@ -668,8 +676,6 @@ def _command_pipeline(args: argparse.Namespace) -> int:
             part.strip() for part in args.schemes.split(",") if part.strip()
         )
     if args.front is not None:
-        from repro.io import load_result
-
         try:
             front_result = load_result(args.front)
         except (OSError, ValueError) as exc:
@@ -736,8 +742,6 @@ def _command_pipeline(args: argparse.Namespace) -> int:
     )
     aggregate_document = result.aggregate_document()
     print(format_pipeline_table(aggregate_document))
-    from repro.io import dump_canonical_json
-
     try:
         if "output" in destinations:
             destinations["output"].write_text(
@@ -767,7 +771,7 @@ def _resolve_disguise_matrix(args: argparse.Namespace):
     the resolved matrix is rejected instead of silently ignored.
     """
     from repro.io import load_matrix, load_result
-    from repro.pipeline.spec import resolve_scheme_argument
+    from repro.pipeline.spec import resolve_scheme_argument, schemes_from_front
 
     if (args.matrix is None) == (args.front is None):
         raise ValidationError("give exactly one of --matrix or --front")
@@ -819,6 +823,7 @@ def _command_disguise(args: argparse.Namespace) -> int:
         CodeWriter,
         OnlineEstimator,
         StreamingDisguiser,
+        Utf8CodeStream,
         iter_code_chunks,
     )
 
@@ -846,13 +851,16 @@ def _command_disguise(args: argparse.Namespace) -> int:
     # Codes go to stdout by default, so the human summary moves to stderr
     # there — `optrr disguise < in > out` stays a clean code stream.
     summary_stream = sys.stdout if output_path is not None else sys.stderr
+    # Codes are decoded as strict UTF-8 from the bytes, so a file and piped
+    # stdin fail alike, naming the offending byte.
+    input_file = None
     try:
         if args.input == "-":
-            input_stream = sys.stdin
-            close_input = False
+            stdin_bytes = getattr(sys.stdin, "buffer", None)
+            input_stream = sys.stdin if stdin_bytes is None else Utf8CodeStream(stdin_bytes)
         else:
-            input_stream = open(args.input, "r", encoding="utf-8")
-            close_input = True
+            input_file = open(args.input, "rb")
+            input_stream = Utf8CodeStream(input_file)
     except OSError as exc:
         return _fail(f"cannot read input {args.input!r}: {exc}")
     try:
@@ -862,8 +870,8 @@ def _command_disguise(args: argparse.Namespace) -> int:
             else sys.stdout
         )
     except OSError as exc:
-        if close_input:
-            input_stream.close()
+        if input_file is not None:
+            input_file.close()
         return _fail(f"could not open --output: {exc}")
     writer = CodeWriter(output_stream, matrix.n_categories)
     try:
@@ -876,8 +884,8 @@ def _command_disguise(args: argparse.Namespace) -> int:
     except OSError as exc:
         return _fail(f"i/o failed: {exc}")
     finally:
-        if close_input:
-            input_stream.close()
+        if input_file is not None:
+            input_file.close()
         if output_path is not None:
             output_stream.close()
     if estimate is None:
@@ -932,6 +940,11 @@ def _command_disguise(args: argparse.Namespace) -> int:
 
 
 def _command_compare_schemes(args: argparse.Namespace) -> int:
+    from repro.analysis.front import ParetoFront
+    from repro.analysis.report import format_front_table
+    from repro.metrics.evaluation import MatrixEvaluator
+    from repro.rr.family import family_names, scheme_family
+
     try:
         prior = _resolve_distribution(args.distribution, args.categories)
     except DataError as exc:
@@ -946,6 +959,8 @@ def _command_compare_schemes(args: argparse.Namespace) -> int:
 
 
 def _command_search_space(args: argparse.Namespace) -> int:
+    from repro.core.search_space import log10_rr_matrix_combinations
+
     log10_count = log10_rr_matrix_combinations(args.categories, args.grid)
     print(
         f"discretised RR matrices for n={args.categories}, d={args.grid}: "

@@ -10,41 +10,23 @@ runs SPEA2's generation step through the
 :class:`~repro.emoo.problem.Problem` interface and adds Ω around it.
 """
 
-from repro.core.config import OptRRConfig
-from repro.core.archive import OptimalSet
-from repro.emoo.driver import (
-    DEFAULT_CHECKPOINT_EVERY,
-    GenerationSnapshot,
-    OptimizationDriver,
-    SteppableOptimization,
-    checkpoint_scope,
-)
-from repro.core.operators import (
-    column_crossover_batch,
-    enforce_privacy_bound_batch,
-    proportional_column_mutation_batch,
-)
-from repro.core.problem import RRMatrixProblem
-from repro.core.optimizer import OptRROptimizer
-from repro.core.result import OptimizationResult, ParetoPoint
-from repro.core.bruteforce import brute_force_front
-from repro.core.search_space import rr_matrix_combinations
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_CHECKPOINT_EVERY",
-    "GenerationSnapshot",
-    "OptRRConfig",
-    "OptRROptimizer",
-    "OptimalSet",
-    "OptimizationDriver",
-    "OptimizationResult",
-    "SteppableOptimization",
-    "checkpoint_scope",
-    "ParetoPoint",
-    "RRMatrixProblem",
-    "brute_force_front",
-    "column_crossover_batch",
-    "enforce_privacy_bound_batch",
-    "proportional_column_mutation_batch",
-    "rr_matrix_combinations",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "DEFAULT_CHECKPOINT_EVERY": "repro.emoo.driver",
+    "GenerationSnapshot": "repro.emoo.driver",
+    "OptRRConfig": ".config",
+    "OptRROptimizer": ".optimizer",
+    "OptimalSet": ".archive",
+    "OptimizationDriver": "repro.emoo.driver",
+    "OptimizationResult": ".result",
+    "SteppableOptimization": "repro.emoo.driver",
+    "checkpoint_scope": "repro.emoo.driver",
+    "ParetoPoint": ".result",
+    "RRMatrixProblem": ".problem",
+    "brute_force_front": ".bruteforce",
+    "column_crossover_batch": ".operators",
+    "enforce_privacy_bound_batch": ".operators",
+    "proportional_column_mutation_batch": ".operators",
+    "rr_matrix_combinations": ".search_space",
+})

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.exceptions import ValidationError
-from repro.utils.validation import check_in_unit_interval, check_positive_int
+from repro.utils.scalars import check_in_unit_interval, check_positive_int
 
 #: Low-fidelity fraction the CLI uses when ``--fidelity`` is passed without
 #: an explicit ``--low-fidelity-fraction``.

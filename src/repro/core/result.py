@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from repro.emoo.population import Population
 from repro.exceptions import OptimizationError
 from repro.rr.matrix import RRMatrix
+
+if TYPE_CHECKING:
+    from repro.emoo.population import Population
 
 
 @dataclass(frozen=True)

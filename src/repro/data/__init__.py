@@ -6,34 +6,22 @@ privacy-preserving mining applications (``repro.mining``) can consume the same
 objects.
 """
 
-from repro.data.distribution import CategoricalDistribution
-from repro.data.dataset import CategoricalAttribute, CategoricalDataset
-from repro.data.discretize import discretize_equal_frequency, discretize_equal_width
-from repro.data.synthetic import (
-    custom_distribution,
-    gamma_distribution,
-    geometric_distribution,
-    normal_distribution,
-    uniform_distribution,
-    zipf_distribution,
-    sample_dataset,
-)
-from repro.data.adult import adult_attribute_distribution, adult_attribute_names, load_adult_like
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CategoricalAttribute",
-    "CategoricalDataset",
-    "CategoricalDistribution",
-    "adult_attribute_distribution",
-    "adult_attribute_names",
-    "custom_distribution",
-    "discretize_equal_frequency",
-    "discretize_equal_width",
-    "gamma_distribution",
-    "geometric_distribution",
-    "load_adult_like",
-    "normal_distribution",
-    "sample_dataset",
-    "uniform_distribution",
-    "zipf_distribution",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "CategoricalAttribute": ".dataset",
+    "CategoricalDataset": ".dataset",
+    "CategoricalDistribution": ".distribution",
+    "adult_attribute_distribution": ".adult",
+    "adult_attribute_names": ".adult",
+    "custom_distribution": ".synthetic",
+    "discretize_equal_frequency": ".discretize",
+    "discretize_equal_width": ".discretize",
+    "gamma_distribution": ".synthetic",
+    "geometric_distribution": ".synthetic",
+    "load_adult_like": ".adult",
+    "normal_distribution": ".synthetic",
+    "sample_dataset": ".synthetic",
+    "uniform_distribution": ".synthetic",
+    "zipf_distribution": ".synthetic",
+})

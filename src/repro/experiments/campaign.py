@@ -46,6 +46,7 @@ from repro.exceptions import ExperimentError, ReproError
 from repro.experiments.base import ExperimentResult, environment_override_defaults
 from repro.experiments.grid import DocumentCache, RetryPolicy, run_grid
 from repro.experiments.registry import find_experiments, get_experiment
+from repro.experiments.runner import run_experiment
 from repro.io import (
     dump_canonical_json,
     experiment_result_from_dict,
@@ -279,9 +280,6 @@ def _execute_task(
     plain JSON-compatible data — shipping the canonical document rather than
     live objects keeps fresh and cached results bit-for-bit interchangeable.
     """
-    import repro.experiments  # noqa: F401  (registry side effects in spawn workers)
-    from repro.experiments.runner import run_experiment
-
     experiment_id, seed, override_items = payload
     result = run_experiment(experiment_id, seed=seed, **dict(override_items))
     return experiment_result_to_dict(result)

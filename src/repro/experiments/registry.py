@@ -1,14 +1,35 @@
-"""Registry mapping experiment ids to their specifications."""
+"""Registry mapping experiment ids to their specifications.
+
+The paper's built-in experiments register themselves when their modules
+(:data:`BUILTIN_EXPERIMENT_MODULES`) are imported; every lookup here imports
+them first, so the registry is complete however it was reached.
+"""
 
 from __future__ import annotations
 
 import fnmatch
+import importlib
 from typing import Iterable
 
 from repro.exceptions import ExperimentError
 from repro.experiments.base import ExperimentSpec
 
 _REGISTRY: dict[str, ExperimentSpec] = {}
+
+#: Modules whose import registers the paper's experiments.
+BUILTIN_EXPERIMENT_MODULES = (
+    "repro.experiments.factsheet",
+    "repro.experiments.figure4",
+    "repro.experiments.figure5",
+    "repro.experiments.theorem2",
+)
+
+
+def _registry() -> dict[str, ExperimentSpec]:
+    """The registry, with the built-in experiments registered."""
+    for module in BUILTIN_EXPERIMENT_MODULES:
+        importlib.import_module(module)
+    return _REGISTRY
 
 
 def register_experiment(spec: ExperimentSpec) -> ExperimentSpec:
@@ -21,17 +42,18 @@ def register_experiment(spec: ExperimentSpec) -> ExperimentSpec:
 
 def get_experiment(experiment_id: str) -> ExperimentSpec:
     """Look up an experiment by id."""
+    registry = _registry()
     try:
-        return _REGISTRY[experiment_id]
+        return registry[experiment_id]
     except KeyError as exc:
         raise ExperimentError(
-            f"unknown experiment {experiment_id!r}; available: {sorted(_REGISTRY)}"
+            f"unknown experiment {experiment_id!r}; available: {sorted(registry)}"
         ) from exc
 
 
 def available_experiments() -> tuple[str, ...]:
     """Ids of all registered experiments, sorted."""
-    return tuple(sorted(_REGISTRY))
+    return tuple(sorted(_registry()))
 
 
 def find_experiments(patterns: Iterable[str]) -> tuple[str, ...]:
@@ -43,12 +65,13 @@ def find_experiments(patterns: Iterable[str]) -> tuple[str, ...]:
     the same experiment order (the campaign grid depends on this).  A pattern
     matching nothing raises :class:`ExperimentError`.
     """
+    registry = _registry()
     resolved: list[str] = []
     for pattern in patterns:
-        matches = sorted(fnmatch.filter(_REGISTRY, pattern))
+        matches = sorted(fnmatch.filter(registry, pattern))
         if not matches:
             raise ExperimentError(
-                f"pattern {pattern!r} matches no experiment; available: {sorted(_REGISTRY)}"
+                f"pattern {pattern!r} matches no experiment; available: {sorted(registry)}"
             )
         for experiment_id in matches:
             if experiment_id not in resolved:

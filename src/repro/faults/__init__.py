@@ -13,36 +13,20 @@ variable, whose grammar is documented in :mod:`repro.faults.plan` and
 ``docs/robustness.md``.  Fault hooks are no-ops when no plan is active.
 """
 
-from repro.faults.injector import (
-    CRASH_EXIT_STATUS,
-    FAULTS_ENVIRONMENT_VARIABLE,
-    active_fault_plan,
-    corrupt_stored_document,
-    fault_plan,
-    fire_cell_faults,
-    install_fault_plan,
-    truncate_checkpoint_file,
-)
-from repro.faults.plan import (
-    DEFAULT_HANG_SECONDS,
-    FAULT_KINDS,
-    FaultPlan,
-    FaultSpec,
-    parse_fault_plan,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CRASH_EXIT_STATUS",
-    "DEFAULT_HANG_SECONDS",
-    "FAULT_KINDS",
-    "FAULTS_ENVIRONMENT_VARIABLE",
-    "FaultPlan",
-    "FaultSpec",
-    "active_fault_plan",
-    "corrupt_stored_document",
-    "fault_plan",
-    "fire_cell_faults",
-    "install_fault_plan",
-    "parse_fault_plan",
-    "truncate_checkpoint_file",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "CRASH_EXIT_STATUS": ".injector",
+    "DEFAULT_HANG_SECONDS": ".plan",
+    "FAULT_KINDS": ".plan",
+    "FAULTS_ENVIRONMENT_VARIABLE": ".injector",
+    "FaultPlan": ".plan",
+    "FaultSpec": ".plan",
+    "active_fault_plan": ".injector",
+    "corrupt_stored_document": ".injector",
+    "fault_plan": ".injector",
+    "fire_cell_faults": ".injector",
+    "install_fault_plan": ".injector",
+    "parse_fault_plan": ".plan",
+    "truncate_checkpoint_file": ".injector",
+})

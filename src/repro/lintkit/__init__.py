@@ -10,22 +10,19 @@ documented in ``docs/invariants.md``.
 Entry points: ``tools/lint_repro.py`` and ``optrr lint``.
 """
 
-from repro.lintkit.baseline import Baseline, load_baseline, write_baseline
-from repro.lintkit.model import ProjectContext, SourceFile, Violation
-from repro.lintkit.registry import Rule, all_rules, register
-from repro.lintkit.runner import collect_files, main, run_rules
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Baseline",
-    "ProjectContext",
-    "Rule",
-    "SourceFile",
-    "Violation",
-    "all_rules",
-    "collect_files",
-    "load_baseline",
-    "main",
-    "register",
-    "run_rules",
-    "write_baseline",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "Baseline": ".baseline",
+    "ProjectContext": ".model",
+    "Rule": ".registry",
+    "SourceFile": ".model",
+    "Violation": ".model",
+    "all_rules": ".registry",
+    "collect_files": ".runner",
+    "load_baseline": ".baseline",
+    "main": ".runner",
+    "register": ".registry",
+    "run_rules": ".runner",
+    "write_baseline": ".baseline",
+})

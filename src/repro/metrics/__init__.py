@@ -1,53 +1,28 @@
 """Privacy and utility quantification (Section IV of the paper)."""
 
-from repro.metrics.accuracy import (
-    AccuracyFunction,
-    ZeroOneAccuracy,
-    bayes_estimate,
-    expected_accuracy,
-)
-from repro.metrics.privacy import (
-    PrivacyReport,
-    map_estimates,
-    max_posterior,
-    max_posterior_batch,
-    posterior_matrix,
-    posterior_tensor,
-    privacy_score,
-    privacy_score_batch,
-    satisfies_bound,
-)
-from repro.metrics.utility import (
-    UtilityReport,
-    empirical_mse,
-    theoretical_mse,
-    theoretical_mse_batch,
-    utility_score,
-    utility_score_batch,
-)
-from repro.metrics.evaluation import BatchEvaluation, MatrixEvaluation, MatrixEvaluator
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AccuracyFunction",
-    "BatchEvaluation",
-    "MatrixEvaluation",
-    "MatrixEvaluator",
-    "PrivacyReport",
-    "UtilityReport",
-    "ZeroOneAccuracy",
-    "bayes_estimate",
-    "empirical_mse",
-    "expected_accuracy",
-    "map_estimates",
-    "max_posterior",
-    "max_posterior_batch",
-    "posterior_matrix",
-    "posterior_tensor",
-    "privacy_score",
-    "privacy_score_batch",
-    "satisfies_bound",
-    "theoretical_mse",
-    "theoretical_mse_batch",
-    "utility_score",
-    "utility_score_batch",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "AccuracyFunction": ".accuracy",
+    "BatchEvaluation": ".evaluation",
+    "MatrixEvaluation": ".evaluation",
+    "MatrixEvaluator": ".evaluation",
+    "PrivacyReport": ".privacy",
+    "UtilityReport": ".utility",
+    "ZeroOneAccuracy": ".accuracy",
+    "bayes_estimate": ".accuracy",
+    "empirical_mse": ".utility",
+    "expected_accuracy": ".accuracy",
+    "map_estimates": ".privacy",
+    "max_posterior": ".privacy",
+    "max_posterior_batch": ".privacy",
+    "posterior_matrix": ".privacy",
+    "posterior_tensor": ".privacy",
+    "privacy_score": ".privacy",
+    "privacy_score_batch": ".privacy",
+    "satisfies_bound": ".privacy",
+    "theoretical_mse": ".utility",
+    "theoretical_mse_batch": ".utility",
+    "utility_score": ".utility",
+    "utility_score_batch": ".utility",
+})

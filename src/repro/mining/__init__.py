@@ -6,16 +6,14 @@ distributions of several disguised attributes, estimating itemset supports
 for association-rule mining, and building decision trees from disguised data.
 """
 
-from repro.mining.contingency import ContingencyEstimator, ContingencyTable
-from repro.mining.association import AssociationMiner, AssociationRule, ItemsetSupport
-from repro.mining.decision_tree import DecisionTreeBuilder, DecisionTreeNode
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AssociationMiner",
-    "AssociationRule",
-    "ContingencyEstimator",
-    "ContingencyTable",
-    "DecisionTreeBuilder",
-    "DecisionTreeNode",
-    "ItemsetSupport",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "AssociationMiner": ".association",
+    "AssociationRule": ".association",
+    "ContingencyEstimator": ".contingency",
+    "ContingencyTable": ".contingency",
+    "DecisionTreeBuilder": ".decision_tree",
+    "DecisionTreeNode": ".decision_tree",
+    "ItemsetSupport": ".association",
+})

@@ -8,43 +8,25 @@ scores each scheme's surviving data-mining utility — fanned out over seeds
 through the shared grid executor with content-addressed caching.
 """
 
-from repro.pipeline.miners import Miner, available_miners, get_miner, register_miner
-from repro.pipeline.runner import (
-    PipelineCache,
-    PipelineCellRecord,
-    PipelineResult,
-    SchemeEvaluation,
-    disguise_workload,
-    evaluate_schemes,
-    run_pipeline,
-)
-from repro.pipeline.spec import (
-    PipelineCellTask,
-    PipelineScheme,
-    PipelineSpec,
-    parse_seed_argument,
-    plan_pipeline,
-    resolve_scheme_argument,
-    schemes_from_front,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Miner",
-    "PipelineCache",
-    "PipelineCellRecord",
-    "PipelineCellTask",
-    "PipelineResult",
-    "PipelineScheme",
-    "PipelineSpec",
-    "SchemeEvaluation",
-    "available_miners",
-    "disguise_workload",
-    "evaluate_schemes",
-    "get_miner",
-    "parse_seed_argument",
-    "plan_pipeline",
-    "register_miner",
-    "resolve_scheme_argument",
-    "run_pipeline",
-    "schemes_from_front",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "Miner": ".miners",
+    "PipelineCache": ".runner",
+    "PipelineCellRecord": ".runner",
+    "PipelineCellTask": ".spec",
+    "PipelineResult": ".runner",
+    "PipelineScheme": ".spec",
+    "PipelineSpec": ".spec",
+    "SchemeEvaluation": ".runner",
+    "available_miners": ".miners",
+    "disguise_workload": ".runner",
+    "evaluate_schemes": ".runner",
+    "get_miner": ".miners",
+    "parse_seed_argument": ".spec",
+    "plan_pipeline": ".spec",
+    "register_miner": ".miners",
+    "resolve_scheme_argument": ".spec",
+    "run_pipeline": ".runner",
+    "schemes_from_front": ".spec",
+})

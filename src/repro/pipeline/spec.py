@@ -25,7 +25,6 @@ import repro
 from repro.core.result import OptimizationResult
 from repro.data.workload import resolve_workload_prior
 from repro.exceptions import ValidationError
-from repro.pipeline.miners import get_miner
 from repro.rr.family import scheme_family
 from repro.rr.matrix import RRMatrix
 
@@ -263,6 +262,10 @@ def plan_pipeline(
     miner names may be aliases (``dist``).  Scheme names must be unique —
     the result table is keyed by them.
     """
+    # The miners (and the mining layer behind them) load only when a
+    # pipeline is planned; `optrr disguise` resolves schemes without them.
+    from repro.pipeline.miners import get_miner
+
     prior = resolve_workload_prior(data, n_categories)
     if not schemes:
         raise ValidationError("a pipeline needs at least one scheme")

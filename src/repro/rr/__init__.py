@@ -8,67 +8,33 @@ estimators (Theorem 1 and Eq. 3), and the multi-dimensional extension noted as
 future work.
 """
 
-from repro.rr.matrix import RRMatrix, random_rr_matrix
-from repro.rr.schemes import (
-    frapp_matrix,
-    identity_matrix,
-    total_randomization_matrix,
-    uniform_perturbation_matrix,
-    warner_matrix,
-)
-from repro.rr.family import (
-    FrappFamily,
-    SchemeFamily,
-    UniformPerturbationFamily,
-    WarnerFamily,
-    scheme_family,
-)
-from repro.rr.randomize import RandomizedResponse
-from repro.rr.estimation import (
-    DistributionEstimate,
-    InversionEstimator,
-    IterativeEstimator,
-    estimate_distribution,
-)
-from repro.rr.streaming import (
-    CountAccumulator,
-    OnlineEstimator,
-    StreamingDisguiser,
-    iter_chunks,
-)
-from repro.rr.multidim import MultiDimensionalRR
-from repro.rr.ldp import (
-    epsilon_for_delta_bound,
-    k_rr_matrix,
-    ldp_epsilon,
-    satisfies_ldp,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "epsilon_for_delta_bound",
-    "k_rr_matrix",
-    "ldp_epsilon",
-    "satisfies_ldp",
-    "CountAccumulator",
-    "DistributionEstimate",
-    "FrappFamily",
-    "InversionEstimator",
-    "IterativeEstimator",
-    "MultiDimensionalRR",
-    "OnlineEstimator",
-    "RRMatrix",
-    "RandomizedResponse",
-    "SchemeFamily",
-    "StreamingDisguiser",
-    "UniformPerturbationFamily",
-    "WarnerFamily",
-    "estimate_distribution",
-    "iter_chunks",
-    "frapp_matrix",
-    "identity_matrix",
-    "random_rr_matrix",
-    "scheme_family",
-    "total_randomization_matrix",
-    "uniform_perturbation_matrix",
-    "warner_matrix",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "epsilon_for_delta_bound": ".ldp",
+    "k_rr_matrix": ".ldp",
+    "ldp_epsilon": ".ldp",
+    "satisfies_ldp": ".ldp",
+    "CountAccumulator": ".streaming",
+    "DistributionEstimate": ".estimation",
+    "FrappFamily": ".family",
+    "InversionEstimator": ".estimation",
+    "IterativeEstimator": ".estimation",
+    "MultiDimensionalRR": ".multidim",
+    "OnlineEstimator": ".streaming",
+    "RRMatrix": ".matrix",
+    "RandomizedResponse": ".randomize",
+    "SchemeFamily": ".family",
+    "StreamingDisguiser": ".streaming",
+    "UniformPerturbationFamily": ".family",
+    "WarnerFamily": ".family",
+    "estimate_distribution": ".estimation",
+    "iter_chunks": ".streaming",
+    "frapp_matrix": ".schemes",
+    "identity_matrix": ".schemes",
+    "random_rr_matrix": ".matrix",
+    "scheme_family": ".family",
+    "total_randomization_matrix": ".schemes",
+    "uniform_perturbation_matrix": ".schemes",
+    "warner_matrix": ".schemes",
+})

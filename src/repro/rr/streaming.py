@@ -26,7 +26,8 @@ the streaming runtime.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, TextIO
+import codecs
+from typing import Any, BinaryIO, Callable, Iterator, TextIO
 
 import numpy as np
 
@@ -60,8 +61,8 @@ def iter_chunks(codes: np.ndarray, chunk_size: int) -> Iterator[np.ndarray]:
         yield codes[start : start + chunk_size]
 
 
-#: Characters of text :func:`iter_code_chunks` reads per batch, before
-#: completing the batch's last line.
+#: Characters of text :func:`iter_code_chunks` reads per batch (bytes,
+#: through :class:`Utf8CodeStream`), before completing the batch's last line.
 CODE_BATCH_CHARS = 1 << 16
 
 _INT64 = np.iinfo(np.int64)
@@ -95,6 +96,50 @@ def iter_code_chunks(stream: TextIO, chunk_size: int) -> Iterator[np.ndarray]:
         del tokens[:start]
     if tokens:
         yield _parse_codes(tokens)
+
+
+class Utf8CodeStream:
+    """Strict UTF-8 text view of a binary code stream, for
+    :func:`iter_code_chunks`.
+
+    Bytes that are not UTF-8 raise :class:`~repro.exceptions.DataError`
+    naming their byte offset in the stream, where a text-mode file would
+    raise ``UnicodeDecodeError`` (or, with ``surrogateescape``, pass
+    through as unparsable tokens).  Valid input decodes to the same text.
+    """
+
+    def __init__(self, binary: BinaryIO) -> None:
+        self._binary = binary
+        self._decoder = codecs.getincrementaldecoder("utf-8")()
+        self._offset = 0  # bytes handed to the decoder so far
+
+    def read(self, size: int = -1) -> str:
+        """Decode the next ``size`` bytes."""
+        return self._decode_next(lambda: self._binary.read(size))
+
+    def readline(self) -> str:
+        return self._decode_next(self._binary.readline)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.readline, "")
+
+    def _decode_next(self, read: Callable[[], bytes]) -> str:
+        # Bytes ending inside a character decode to "": read on, so that
+        # only the end of the stream reads as "".
+        while True:
+            data = read()
+            pending = self._decoder.getstate()[0]
+            try:
+                text = self._decoder.decode(data, final=not data)
+            except UnicodeDecodeError as exc:
+                offset = self._offset - len(pending) + exc.start
+                raise DataError(
+                    f"input is not UTF-8 text: byte {exc.object[exc.start]:#04x} at "
+                    f"offset {offset} ({exc.reason})"
+                ) from exc
+            self._offset += len(data)
+            if text or not data:
+                return text
 
 
 def _parse_codes(tokens: list[str]) -> np.ndarray:

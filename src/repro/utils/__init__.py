@@ -1,35 +1,19 @@
 """Small shared utilities: validation, linear algebra and logging helpers."""
 
-from repro.utils.validation import (
-    check_in_unit_interval,
-    check_matrix_stack,
-    check_positive_int,
-    check_probability_vector,
-    check_square_matrix,
-    check_stochastic_columns,
-    normalize_probabilities,
-)
-from repro.utils.linalg import (
-    batched_condition_numbers,
-    batched_safe_inverses,
-    condition_number,
-    one_norm_condition_estimate,
-    safe_inverse,
-)
-from repro.utils.logging import get_logger
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "batched_condition_numbers",
-    "batched_safe_inverses",
-    "check_in_unit_interval",
-    "check_matrix_stack",
-    "check_positive_int",
-    "check_probability_vector",
-    "check_square_matrix",
-    "check_stochastic_columns",
-    "condition_number",
-    "get_logger",
-    "normalize_probabilities",
-    "one_norm_condition_estimate",
-    "safe_inverse",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "batched_condition_numbers": ".linalg",
+    "batched_safe_inverses": ".linalg",
+    "check_in_unit_interval": ".scalars",
+    "check_matrix_stack": ".validation",
+    "check_positive_int": ".scalars",
+    "check_probability_vector": ".validation",
+    "check_square_matrix": ".validation",
+    "check_stochastic_columns": ".validation",
+    "condition_number": ".linalg",
+    "get_logger": ".logging",
+    "normalize_probabilities": ".validation",
+    "one_norm_condition_estimate": ".linalg",
+    "safe_inverse": ".linalg",
+})

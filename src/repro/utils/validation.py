@@ -13,38 +13,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.exceptions import DataError, RRMatrixError, ValidationError
+from repro.utils.scalars import check_in_unit_interval, check_positive_int  # noqa: F401
 
 #: Tolerance used when checking that probabilities sum to one.
 PROBABILITY_ATOL = 1e-8
-
-
-def check_positive_int(value: int, name: str) -> int:
-    """Validate that ``value`` is a positive integer and return it."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ValidationError(f"{name} must be an integer, got {type(value).__name__}")
-    if value <= 0:
-        raise ValidationError(f"{name} must be positive, got {value}")
-    return int(value)
-
-
-def check_in_unit_interval(
-    value: float,
-    name: str,
-    *,
-    inclusive_low: bool = True,
-    inclusive_high: bool = True,
-) -> float:
-    """Validate that ``value`` lies in the unit interval and return it."""
-    value = float(value)
-    if not np.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value}")
-    low_ok = value >= 0.0 if inclusive_low else value > 0.0
-    high_ok = value <= 1.0 if inclusive_high else value < 1.0
-    if not (low_ok and high_ok):
-        low = "[" if inclusive_low else "("
-        high = "]" if inclusive_high else ")"
-        raise ValidationError(f"{name} must be in {low}0, 1{high}, got {value}")
-    return value
 
 
 def check_probability_vector(

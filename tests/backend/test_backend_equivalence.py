@@ -32,6 +32,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.backend import ArrayKernels, active_backend
+from repro.backend.kernels import INVERSE_BLOCK_ROWS
 from repro.rr.matrix import RRMatrix
 from repro.utils.linalg import DEFAULT_CONDITION_LIMIT
 
@@ -272,6 +273,59 @@ class TestBatchedSafeInverses:
         )
         assert inverses.shape == (0, 3, 3)
         assert invertible.size == 0
+
+
+def _singular_positions(batch: int, where: str) -> list[int]:
+    return {
+        "none": [],
+        "first": [0],
+        "middle": [batch // 2],
+        "last": [batch - 1],
+        "several": sorted({0, batch // 3, batch // 2, batch - 1}),
+        "all": list(range(batch)),
+    }[where]
+
+
+class TestBlockedInverses:
+    """The kernel inverts in blocks of ``INVERSE_BLOCK_ROWS`` rows, so a
+    singular row sends only its own block down the screened path.  Masks and
+    inverses must equal the unblocked computation: the oracle's screened
+    inversion of the whole stack in one call."""
+
+    @pytest.mark.parametrize("where", ["none", "first", "middle", "last", "several", "all"])
+    @pytest.mark.parametrize(
+        "batch", [1, INVERSE_BLOCK_ROWS - 1, INVERSE_BLOCK_ROWS, INVERSE_BLOCK_ROWS + 1, 300]
+    )
+    def test_matches_unblocked_inversion(self, batch, where):
+        stack = _stochastic_stack(batch, batch, 4)
+        singular = _singular_positions(batch, where)
+        stack[singular] = 0.25
+        actual, expected = _invert_both(stack)
+        _assert_columns_equal(actual, expected)
+        assert not actual[1][singular].any()
+        np.testing.assert_array_equal(actual[0][singular], 0.0)
+        healthy = np.setdiff1d(np.arange(batch), singular)
+        assert actual[1][healthy].all()
+
+    def test_healthy_blocks_skip_the_screened_path(self, monkeypatch):
+        # One singular row in the second of three blocks: only that block is
+        # screened by slogdet, and only its rows.
+        stack = _stochastic_stack(7, 3 * INVERSE_BLOCK_ROWS, 3)
+        stack[INVERSE_BLOCK_ROWS + 5] = 1.0 / 3
+        screened_rows = []
+        slogdet = np.linalg.slogdet
+
+        def counting_slogdet(block):
+            screened_rows.append(block.shape[0])
+            return slogdet(block)
+
+        monkeypatch.setattr(np.linalg, "slogdet", counting_slogdet)
+        actual = KERNELS.batched_safe_inverses(
+            stack, condition_limit=DEFAULT_CONDITION_LIMIT
+        )
+        monkeypatch.undo()
+        assert screened_rows == [INVERSE_BLOCK_ROWS]
+        _assert_columns_equal(actual, _invert_both(stack)[1])
 
 
 #: Coordinate magnitudes spanning the objective scales the optimizer meets:

@@ -33,6 +33,7 @@ from repro.rr.streaming import (
     CountAccumulator,
     OnlineEstimator,
     StreamingDisguiser,
+    Utf8CodeStream,
     iter_chunks,
     iter_code_chunks,
 )
@@ -148,6 +149,36 @@ class TestCodeStreams:
             for writer in writers:
                 writer.write(chunk)
         assert streams[0].getvalue() == streams[1].getvalue()
+
+    @settings(max_examples=200, deadline=None)
+    @given(stream=code_streams(), data=st.data())
+    def test_utf8_byte_stream_reads_like_text(self, stream, data):
+        """Valid UTF-8 bytes through :class:`Utf8CodeStream` give the chunks
+        and errors of the decoded text, however the batches split
+        multi-byte characters."""
+        tokens, text = stream
+        chunk_size = data.draw(st.integers(1, len(tokens) + 2))
+        batch_chars = data.draw(st.sampled_from((1, 2, 5, streaming.CODE_BATCH_CHARS)))
+
+        def from_bytes(text_stream, size):
+            binary = io.BytesIO(text_stream.getvalue().encode("utf-8"))
+            return iter_code_chunks(Utf8CodeStream(binary), size)
+
+        with mock.patch.object(streaming, "CODE_BATCH_CHARS", batch_chars):
+            assert _read_outcome(from_bytes, text, chunk_size) == _read_outcome(
+                iter_code_chunks, text, chunk_size
+            )
+
+    @pytest.mark.parametrize(
+        "data, offset",
+        [(b"\xff1 2", 0), (b"1 2\n3 \xe2\x82", 6), (b"1 \xe2\x82\xff 2", 2), (b"1" * 70_000 + b"\x80", 70_000)],
+    )
+    def test_invalid_utf8_names_its_byte_offset(self, data, offset):
+        with pytest.raises(DataError, match=f"byte 0x[0-9a-f]{{2}} at offset {offset} "):
+            list(iter_code_chunks(Utf8CodeStream(io.BytesIO(data)), 4))
+        # Line iteration (the per-token reference reader) fails alike.
+        with pytest.raises(DataError, match=f"byte 0x[0-9a-f]{{2}} at offset {offset} "):
+            list(Utf8CodeStream(io.BytesIO(data)))
 
     def test_rejects_nonpositive_chunk_size(self):
         with pytest.raises(ValidationError):

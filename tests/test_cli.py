@@ -486,6 +486,42 @@ class TestDisguise:
         expected_exit = 0 if text == EDGE_CODES else 2
         assert [outcome[0] for outcome in array_path] == [expected_exit] * 2
 
+    @pytest.mark.parametrize(
+        "data, expected",
+        [
+            (b"\xff\xfe0 1\n", "byte 0xff at offset 0 (invalid start byte)"),
+            (b"0 1 2\n3 \xc3", "byte 0xc3 at offset 8 (unexpected end of data)"),
+        ],
+        ids=["invalid-start", "truncated"],
+    )
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_non_utf8_input_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch, source, data, expected
+    ):
+        argv = ["disguise", "--matrix", "warner:0.8", "--categories", "4"]
+        if source == "file":
+            codes = tmp_path / "codes.txt"
+            codes.write_bytes(data)
+            argv.insert(1, str(codes))
+        else:
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"optrr: error: input is not UTF-8 text: {expected}\n"
+        )
+
+    def test_multibyte_codes_split_across_read_batches(self, tmp_path, capsys, monkeypatch):
+        # U+0663 (ARABIC-INDIC DIGIT THREE) is two bytes; a one-byte batch
+        # splits every one of them.
+        monkeypatch.setattr(streaming, "CODE_BATCH_CHARS", 1)
+        codes = tmp_path / "codes.txt"
+        codes.write_text("٣ 1\n٣٣", encoding="utf-8")
+        output = tmp_path / "disguised.txt"
+        argv = ["disguise", str(codes), "--matrix", "warner:0.8", "--categories", "34",
+                "--estimator", "iterative", "--output", str(output)]
+        assert main(argv) == 0
+        assert "3 record(s)" in capsys.readouterr().out
+
     def test_out_of_range_code_is_a_usage_error(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("0 99999999999999999999"))
         assert main(["disguise", "--matrix", "warner:0.8", "--categories", "4"]) == 2
