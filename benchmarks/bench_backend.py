@@ -1,4 +1,4 @@
-"""Benchmark: the evaluation kernels against their frozen references.
+"""Benchmark: the evaluation and repair kernels against their frozen references.
 
 ``MatrixEvaluator.evaluate_batch`` runs over one ``(B=200, n=32)`` stack
 twice: with the production kernels, and with the kernel instance's
@@ -10,7 +10,14 @@ carries the production speedup against it, and the perf gate
 (measured ~1.7x here: whole-stack inverse, row-bound posterior, no subset
 copies).
 
-Before any timing the two runs are checked bit for bit: a speedup claim is
+``ArrayKernels.repair_stack`` is timed against
+``oracles.kernels.reference_repair_stack`` (a posterior tensor per pass) at
+two sizes: ``repair_stack``, the optimizer's warm start at n=64 (the 1001
+Warner seeds, delta 0.8, ``normal`` prior), and ``repair_stack_paper``, the
+paper's scale (diagonally biased ``(B=40, n=10)`` stacks, the same delta and
+prior).
+
+Before any timing the two sides are checked bit for bit: a speedup claim is
 meaningless if the kernels compute different answers.
 
 Run standalone::
@@ -33,6 +40,7 @@ from typing import Iterator
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 
 try:
     from benchmarks.conftest import record_bench
@@ -47,8 +55,13 @@ from repro.backend import active_backend
 from repro.data.synthetic import normal_distribution
 from repro.metrics.evaluation import MatrixEvaluator
 from repro.rr.matrix import random_rr_matrix, stack_matrices
+from repro.rr.schemes import warner_stack
 
-from oracles.kernels import reference_batched_safe_inverses, reference_evaluate_stack
+from oracles.kernels import (
+    reference_batched_safe_inverses,
+    reference_evaluate_stack,
+    reference_repair_stack,
+)
 
 N_CATEGORIES = 32
 BATCH = 200
@@ -58,6 +71,9 @@ DELTA = 0.8
 #: via the environment variable so timing noise on shared runners cannot
 #: flake a required gate.
 MIN_BACKEND_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_BACKEND_SPEEDUP", "1.5"))
+#: Repair settings of the optimizer (``enforce_privacy_bound_batch``).
+REPAIR_PASSES = 50
+REPAIR_TOLERANCE = 1e-9
 
 
 def _stack(n: int, batch: int) -> np.ndarray:
@@ -116,6 +132,60 @@ def measure_backend_evaluation(
     }
 
 
+def _warner_seeds(n: int, batch: int) -> np.ndarray:
+    """The optimizer's warm start: ``batch`` Warner retention values over
+    [0, 1]."""
+    return warner_stack(n, np.linspace(0.0, 1.0, batch))
+
+
+def _diagonally_biased(n: int, batch: int) -> np.ndarray:
+    """Random stacks pulled towards the identity, as the equivalence tests
+    use: high posteriors, so the repair iterates."""
+    stack = 0.7 * np.eye(n)[None, :, :] + 0.3 * _stack(n, batch)
+    return np.ascontiguousarray(stack / stack.sum(axis=1, keepdims=True))
+
+
+#: ``op -> (stack builder, n, batch, calls per timed run)``: the n=64 warm
+#: start (``OptRRConfig.baseline_seeds`` = 1001 seeds, one call) and the
+#: paper's scale (B=40, n=10, 50 calls per timed run).
+REPAIR_OPS = {
+    "repair_stack": (_warner_seeds, 64, 1001, 1),
+    "repair_stack_paper": (_diagonally_biased, 10, 40, 50),
+}
+
+
+def measure_repair(op: str, repeats: int = 5) -> dict:
+    """Timing record for production vs reference ``repair_stack``."""
+    build, n, batch, calls = REPAIR_OPS[op]
+    stack = build(n, batch)
+    prior = normal_distribution(n).probabilities
+    kwargs = dict(max_passes=REPAIR_PASSES, tolerance=REPAIR_TOLERANCE)
+    production = active_backend().repair_stack(stack, prior, DELTA, **kwargs)
+    reference = reference_repair_stack(stack, prior, DELTA, **kwargs)
+    assert production.tobytes() == reference.tobytes(), (
+        f"{op}: repair_stack is not bit-exact against reference_repair_stack"
+    )
+
+    def seconds_of(kernel) -> float:
+        start = time.perf_counter()
+        for _ in range(calls):
+            kernel(stack, prior, DELTA, **kwargs)
+        return time.perf_counter() - start
+
+    # Alternate the two sides so load drift on a shared host hits both.
+    reference_time = seconds = float("inf")
+    for _ in range(repeats):
+        reference_time = min(reference_time, seconds_of(reference_repair_stack))
+        seconds = min(seconds, seconds_of(active_backend().repair_stack))
+    return {
+        "op": op,
+        "params": {"n_categories": n, "batch": batch, "calls": calls, "delta": DELTA},
+        "seconds": seconds,
+        "reference_seconds": reference_time,
+        "speedup": reference_time / seconds,
+    }
+
+
 def _record(result: dict) -> None:
     record_bench(
         "backend",
@@ -126,9 +196,30 @@ def _record(result: dict) -> None:
     )
 
 
+def _record_repair(result: dict) -> None:
+    record_bench(
+        "backend",
+        result["op"],
+        result["params"],
+        result["seconds"],
+        reference_seconds=result["reference_seconds"],
+    )
+
+
 def _report(result: dict) -> None:
     print(
         f"evaluate_batch (B={BATCH}, n={N_CATEGORIES}) "
+        f"reference {result['reference_seconds'] * 1e3:8.2f} ms  "
+        f"production {result['seconds'] * 1e3:8.2f} ms  "
+        f"speedup {result['speedup']:5.2f}x"
+    )
+
+
+def _report_repair(result: dict) -> None:
+    params = result["params"]
+    print(
+        f"{result['op']} (B={params['batch']}, n={params['n_categories']}, "
+        f"{params['calls']} call(s)) "
         f"reference {result['reference_seconds'] * 1e3:8.2f} ms  "
         f"production {result['seconds'] * 1e3:8.2f} ms  "
         f"speedup {result['speedup']:5.2f}x"
@@ -147,10 +238,24 @@ def test_kernel_speedup_over_reference():
     )
 
 
+@pytest.mark.parametrize("op", sorted(REPAIR_OPS))
+def test_repair_bit_exact_and_recorded(op):
+    """Production repair equals the frozen reference bit for bit (asserted
+    inside the measurement); the speedup is gated by ``tools/check_perf.py``
+    against ``benchmarks/perf_baseline.json``."""
+    result = measure_repair(op)
+    _record_repair(result)
+    _report_repair(result)
+
+
 def main() -> None:
     result = measure_backend_evaluation()
     _record(result)
     _report(result)
+    for op in sorted(REPAIR_OPS):
+        result = measure_repair(op)
+        _record_repair(result)
+        _report_repair(result)
 
 
 if __name__ == "__main__":

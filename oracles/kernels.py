@@ -1,4 +1,4 @@
-"""Frozen reference forms of the evaluation and distance kernels.
+"""Frozen reference forms of the evaluation, distance and repair kernels.
 
 :mod:`repro.backend.kernels` computes these quantities with the faster of
 two bit-identical formulations; the functions here keep the plainer one, as
@@ -11,7 +11,10 @@ compare the production kernels against:
 * :func:`reference_batched_safe_inverses` screens every row with ``slogdet``
   and inverts only the clean subset;
 * :func:`reference_pairwise_distances` is ``math.sqrt`` of an in-order
-  Python sum per pair.
+  Python sum per pair;
+* :func:`reference_repair_stack` gathers the active rows and rebuilds their
+  ``(A, n, n)`` posterior tensor on every repair pass, taking the worst cell
+  as its flat argmax.
 
 Their signatures match the kernel methods, so a test can substitute them on
 the kernel instance (``monkeypatch.setattr(active_backend(), ...)``).
@@ -23,9 +26,13 @@ import math
 
 import numpy as np
 
-from repro.metrics.privacy import joint_tensor, posterior_from_joint
+from repro.metrics.privacy import joint_tensor, posterior_from_joint, posterior_tensor
 from repro.metrics.utility import utility_score_batch
 from repro.utils.linalg import one_norm_condition_estimate
+
+#: Column-positivity floor of the repair; equal to
+#: ``repro.backend.kernels._EPSILON`` and ``oracles.rr._EPSILON``.
+_EPSILON = 1e-12
 
 
 def reference_batched_safe_inverses(
@@ -91,3 +98,88 @@ def reference_pairwise_distances(points: np.ndarray) -> np.ndarray:
                 total += (a - b) * (a - b)
             distances[i, j] = math.sqrt(total)
     return distances
+
+
+def reference_repair_stack(
+    stack: np.ndarray,
+    prior: np.ndarray,
+    delta: float,
+    *,
+    max_passes: int,
+    tolerance: float,
+) -> np.ndarray:
+    """Privacy-bound repair (Section V-G) through the posterior tensor.
+
+    Each pass gathers the active rows (``values[index]``), rebuilds their
+    ``(A, n, n)`` posterior tensor and takes the flat argmax as the worst
+    cell; each matrix follows the scalar specification's trajectory (worst
+    violating posterior cell relaxed per pass, best visited state returned).
+    """
+    values = stack.copy()
+    batch_size, n, _ = values.shape
+    if batch_size == 0:
+        return values
+    best = values.copy()
+    best_worst = np.full(batch_size, np.inf)
+    active = np.ones(batch_size, dtype=bool)
+    for pass_index in range(max_passes + 1):
+        index = np.flatnonzero(active)
+        if index.size == 0:
+            break
+        posterior = posterior_tensor(values[index], prior)
+        worst = posterior.reshape(index.size, -1).max(axis=1)
+        improved = worst < best_worst[index]
+        if improved.any():
+            improved_index = index[improved]
+            best[improved_index] = values[improved_index]
+            best_worst[improved_index] = worst[improved]
+        met = worst <= delta + tolerance
+        active[index[met]] = False
+        if pass_index == max_passes:
+            break
+        index = index[~met]
+        if index.size == 0:
+            continue
+        posterior = posterior[~met]
+        flat = posterior.reshape(index.size, -1).argmax(axis=1)
+        i = flat // n
+        j = flat % n
+        local = np.arange(index.size)
+        row_values = values[index, i, :]  # (A, n)
+        cell = values[index, i, j]
+        prior_j = prior[j]
+        row_rest = row_values @ prior - cell * prior_j
+        ok = prior_j > _EPSILON
+        if delta < 1.0:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                target = delta * row_rest / (prior_j * (1.0 - delta))
+        else:
+            target = cell.copy()
+        target = np.clip(target, 0.0, cell)
+        removed = cell - target
+        ok &= removed > _EPSILON
+        columns = values[index, :, j]  # (A, n)
+        columns[local, i] = target
+        others = np.ones((index.size, n), dtype=bool)
+        others[local, i] = False
+        headroom = np.where(others, 1.0 - columns, 0.0)
+        total_headroom = headroom.sum(axis=1)
+        ok &= total_headroom > _EPSILON
+        with np.errstate(divide="ignore", invalid="ignore"):
+            spread = (
+                removed[:, None]
+                * headroom
+                / np.where(total_headroom > 0, total_headroom, 1.0)[:, None]
+            )
+        new_columns = np.clip(columns + spread, 0.0, 1.0)
+        column_sums = new_columns.sum(axis=1)
+        ok &= column_sums > 0
+        # Matrices that hit a scalar break condition freeze at their
+        # current (already scored) state.
+        active[index[~ok]] = False
+        if ok.any():
+            apply = np.flatnonzero(ok)
+            values[index[apply], :, j[apply]] = (
+                new_columns[apply] / column_sums[apply, None]
+            )
+    return best

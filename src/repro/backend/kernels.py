@@ -10,9 +10,9 @@ lives in :mod:`repro.backend`.  Two contracts hold for every kernel:
   callers in :mod:`repro.core.operators` and :mod:`repro.rr.randomize`, in a
   fixed order, and passed in as arrays.
 * **Bit-exact against the frozen references.**  ``evaluate_stack``,
-  ``batched_safe_inverses``, ``pairwise_distances`` and ``disguise_codes``
-  reproduce the executable specifications in the root ``oracles`` package bit
-  for bit; ``tests/backend/test_backend_equivalence.py`` enforces it, and the
+  ``batched_safe_inverses``, ``pairwise_distances``, ``repair_stack`` and
+  ``disguise_codes`` reproduce the executable specifications in the root
+  ``oracles`` package bit for bit; ``tests/backend/test_backend_equivalence.py`` enforces it, and the
   engine-equivalence suite runs whole trajectories with the oracle kernels
   substituted.
 
@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.metrics.privacy import posterior_tensor
 from repro.metrics.utility import theoretical_mse_batch
 from repro.utils.linalg import one_norm_condition_estimate
+from repro.utils.validation import check_probability_vector
 
 #: Tiny value used to keep columns strictly positive where renormalisation
 #: would otherwise divide by zero.  Must stay equal to the scalar operators'
@@ -288,40 +288,72 @@ class ArrayKernels:
 
         Fully deterministic: each matrix follows the scalar specification's
         trajectory (worst violating posterior cell relaxed per pass, best
-        visited state returned).
+        visited state returned), bit for bit as the frozen posterior-tensor
+        form ``oracles.kernels.reference_repair_stack``.
+
+        Only the rows still repairing are kept, compacted in stack order with
+        their joint ``values * prior``.  Each pass reads the worst posterior
+        off the ``(A, n)`` row maxima and sums of the joint (as
+        :meth:`evaluate_stack` does), finds the worst cell as the first
+        report row attaining it and the first column of that row's
+        posteriors (the tensor's flat argmax), and after a column update
+        refreshes only that column of the joint: no posterior tensor is
+        built.
         """
-        values = stack.copy()
-        batch_size, n, _ = values.shape
+        batch_size = stack.shape[0]
         if batch_size == 0:
-            return values
-        best = values.copy()
+            return stack.copy()
+        # The posterior side uses the validated (clipped) prior, as
+        # ``posterior_tensor`` does; the target arithmetic uses it as given.
+        joint_prior = check_probability_vector(prior, "prior")
+        best = stack.copy()
         best_worst = np.full(batch_size, np.inf)
-        active = np.ones(batch_size, dtype=bool)
+        rows = np.arange(batch_size)  # stack index of each working row
+        values = stack
+        joint = stack * joint_prior
+        # A row's best visited state is copied into ``best`` only when the
+        # row stops improving (then it is the state before the last column
+        # update: the current values with column ``last_j`` restored from
+        # ``last_column``) or leaves the working set, not on every improving
+        # pass.  ``current[r]``: row ``r``'s best state is its current one
+        # and is not in ``best`` yet.  Before the first update ``best``
+        # already holds every current state.
+        current = np.zeros(batch_size, dtype=bool)
+        last_j = last_column = None
         for pass_index in range(max_passes + 1):
-            index = np.flatnonzero(active)
-            if index.size == 0:
-                break
-            posterior = posterior_tensor(values[index], prior)
-            worst = posterior.reshape(index.size, -1).max(axis=1)
-            improved = worst < best_worst[index]
-            if improved.any():
-                improved_index = index[improved]
-                best[improved_index] = values[improved_index]
-                best_worst[improved_index] = worst[improved]
-            met = worst <= delta + tolerance
-            active[index[met]] = False
+            row_max = joint.max(axis=2)
+            row_sum = joint.sum(axis=2)
+            # Zero-probability reports bound nothing (posterior 0).
+            bound = np.divide(
+                row_max, row_sum, out=np.zeros_like(row_max), where=row_sum > 0
+            )
+            worst = bound.max(axis=1)
+            improved = worst < best_worst[rows]
+            best_worst[rows[improved]] = worst[improved]
+            if pass_index:
+                stale = np.flatnonzero(current & ~improved)
+                if stale.size:
+                    best[rows[stale]] = values[stale]
+                    best[rows[stale], :, last_j[stale]] = last_column[stale]
+                current = improved
+            keep = ~(worst <= delta + tolerance)
             if pass_index == max_passes:
+                keep[:] = False
+            leaving = current & ~keep
+            if leaving.any():
+                best[rows[leaving]] = values[leaving]
+            if not keep.any():
                 break
-            index = index[~met]
-            if index.size == 0:
-                continue
-            posterior = posterior[~met]
-            flat = posterior.reshape(index.size, -1).argmax(axis=1)
-            i = flat // n
-            j = flat % n
-            local = np.arange(index.size)
-            row_values = values[index, i, :]  # (A, n)
-            cell = values[index, i, j]
+            # The first pass always copies: ``values`` is still the input.
+            if pass_index == 0 or not keep.all():
+                rows, values, joint = rows[keep], values[keep], joint[keep]
+                row_sum, bound, worst = row_sum[keep], bound[keep], worst[keep]
+                current = current[keep]
+            local = np.arange(rows.size)
+            i = (bound == worst[:, None]).argmax(axis=1)
+            j = (joint[local, i, :] / row_sum[local, i, None]).argmax(axis=1)
+            row_values = values[local, i, :]  # (A, n)
+            cell = values[local, i, j]
             prior_j = prior[j]
             row_rest = row_values @ prior - cell * prior_j
             ok = prior_j > _EPSILON
@@ -333,11 +365,11 @@ class ArrayKernels:
             target = np.clip(target, 0.0, cell)
             removed = cell - target
             ok &= removed > _EPSILON
-            columns = values[index, :, j]  # (A, n)
+            columns = values[local, :, j]  # (A, n)
+            last_j, last_column = j, columns.copy()
             columns[local, i] = target
-            others = np.ones((index.size, n), dtype=bool)
-            others[local, i] = False
-            headroom = np.where(others, 1.0 - columns, 0.0)
+            headroom = 1.0 - columns
+            headroom[local, i] = 0.0
             total_headroom = headroom.sum(axis=1)
             ok &= total_headroom > _EPSILON
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -349,14 +381,21 @@ class ArrayKernels:
             new_columns = np.clip(columns + spread, 0.0, 1.0)
             column_sums = new_columns.sum(axis=1)
             ok &= column_sums > 0
-            # Matrices that hit a scalar break condition freeze at their
-            # current (already scored) state.
-            active[index[~ok]] = False
             if ok.any():
                 apply = np.flatnonzero(ok)
-                values[index[apply], :, j[apply]] = (
-                    new_columns[apply] / column_sums[apply, None]
-                )
+                updated = new_columns[apply] / column_sums[apply, None]
+                values[apply, :, j[apply]] = updated
+                # Elementwise products are exact: the refreshed column equals
+                # the one a full ``values * prior`` would give.
+                joint[apply, :, j[apply]] = updated * joint_prior[j[apply], None]
+            # Matrices that hit a scalar break condition freeze at their
+            # current (already scored) state.
+            if not ok.all():
+                frozen = current & ~ok
+                if frozen.any():
+                    best[rows[frozen]] = values[frozen]
+                rows, values, joint = rows[ok], values[ok], joint[ok]
+                current, last_j, last_column = current[ok], j[ok], last_column[ok]
         return best
 
     def disguise_codes(

@@ -50,6 +50,12 @@ if TYPE_CHECKING:
 #: Default domain size for the synthetic priors when --categories is omitted.
 DEFAULT_CATEGORIES = 10
 
+#: ``optrr disguise --estimator inversion`` warns above this 1-norm condition
+#: estimate of M: the inversion estimate amplifies sampling noise by up to
+#: cond_1(M).  Optimized n=64 fronts stay below ~220; a Warner matrix a
+#: hair from total randomization (p = 1/n + 1e-7 at n=4) is at ~1e7.
+ILL_CONDITIONED_LIMIT = 1e6
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -826,6 +832,7 @@ def _command_disguise(args: argparse.Namespace) -> int:
         Utf8CodeStream,
         iter_code_chunks,
     )
+    from repro.utils.linalg import one_norm_condition_estimate
 
     if args.chunk_size < 1:
         return _fail("--chunk-size must be at least 1")
@@ -835,11 +842,22 @@ def _command_disguise(args: argparse.Namespace) -> int:
         return _fail(str(exc))
     # Fail closed before any code is written: the inversion estimator needs
     # M^-1, and a singular M would otherwise surface mid-stream.
-    if args.estimator == "inversion" and not matrix.is_invertible:
-        return _fail(
-            f"matrix {name} is not invertible, so --estimator inversion cannot "
-            "reconstruct the distribution; use --estimator iterative"
+    if args.estimator == "inversion":
+        if not matrix.is_invertible:
+            return _fail(
+                f"matrix {name} is not invertible, so --estimator inversion cannot "
+                "reconstruct the distribution; use --estimator iterative"
+            )
+        condition = float(
+            one_norm_condition_estimate(matrix.probabilities, matrix.inverse())
         )
+        if condition > ILL_CONDITIONED_LIMIT:
+            print(
+                f"optrr: warning: matrix {name} is ill-conditioned (cond_1(M) = "
+                f"{condition:.3g}), so the inversion estimate can be dominated by "
+                "noise; consider --estimator iterative",
+                file=sys.stderr,
+            )
     report_path = Path(args.report) if args.report is not None else None
     output_path = Path(args.output) if args.output is not None else None
     for option, path in (("report", report_path), ("output", output_path)):

@@ -37,4 +37,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "total_randomization_matrix": ".schemes",
     "uniform_perturbation_matrix": ".schemes",
     "warner_matrix": ".schemes",
+    "warner_stack": ".schemes",
 })

@@ -15,9 +15,11 @@ Theorem 2 states that the three families generate the identical solution set;
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from repro.exceptions import RRMatrixError
+from repro.exceptions import RRMatrixError, ValidationError
 from repro.rr.matrix import RRMatrix
 from repro.utils.validation import check_in_unit_interval, check_positive_int
 
@@ -32,20 +34,43 @@ def total_randomization_matrix(n_categories: int) -> RRMatrix:
     return RRMatrix.uniform(n_categories)
 
 
+def warner_stack(
+    n_categories: int, retention_values: Sequence[float] | np.ndarray
+) -> np.ndarray:
+    """``(k, n, n)`` stack of Warner matrices, one per retention value.
+
+    Matrix ``b`` has diagonal ``retention_values[b]`` and off-diagonal
+    ``(1 - retention_values[b]) / (n - 1)``, built in one broadcast and
+    validated once: ``n >= 2`` and every value in ``[0, 1]`` (an error names
+    the first value outside).  :func:`warner_matrix` is its one-matrix case.
+    """
+    check_positive_int(n_categories, "n_categories")
+    retention = np.asarray(retention_values, dtype=np.float64)
+    if retention.ndim != 1:
+        raise ValidationError(
+            f"retention_values must be one-dimensional, got shape {retention.shape}"
+        )
+    outside = ~((retention >= 0.0) & (retention <= 1.0))  # NaN is outside
+    if outside.any():
+        check_in_unit_interval(retention[np.argmax(outside)], "p")
+    if n_categories == 1:
+        raise RRMatrixError("Warner scheme needs at least two categories")
+    off_diagonal = (1.0 - retention) / (n_categories - 1)
+    stack = np.repeat(off_diagonal, n_categories * n_categories).reshape(
+        retention.size, n_categories, n_categories
+    )
+    diagonal = np.arange(n_categories)
+    stack[:, diagonal, diagonal] = retention[:, None]
+    return stack
+
+
 def warner_matrix(n_categories: int, p: float) -> RRMatrix:
     """Warner scheme matrix with retention probability ``p``.
 
     ``p = 1`` yields the identity matrix; ``p = 1 / n`` yields the total
-    randomization matrix.
+    randomization matrix.  The one-matrix case of :func:`warner_stack`.
     """
-    check_positive_int(n_categories, "n_categories")
-    check_in_unit_interval(p, "p")
-    if n_categories == 1:
-        raise RRMatrixError("Warner scheme needs at least two categories")
-    off_diagonal = (1.0 - p) / (n_categories - 1)
-    matrix = np.full((n_categories, n_categories), off_diagonal)
-    np.fill_diagonal(matrix, p)
-    return RRMatrix(matrix)
+    return RRMatrix.from_validated(warner_stack(n_categories, [p])[0])
 
 
 def uniform_perturbation_matrix(n_categories: int, q: float) -> RRMatrix:

@@ -3,9 +3,10 @@
 Every kernel of :func:`repro.backend.active_backend` is run next to its
 executable specification in the root ``oracles`` package:
 
-* ``evaluate_stack``, ``batched_safe_inverses`` and ``pairwise_distances``
-  against :mod:`oracles.kernels` (posterior tensor, slogdet-screened subset
-  inversion, pure-Python in-order distance sums) — bit for bit;
+* ``evaluate_stack``, ``batched_safe_inverses``, ``pairwise_distances`` and
+  ``repair_stack`` against :mod:`oracles.kernels` (posterior tensor,
+  slogdet-screened subset inversion, pure-Python in-order distance sums,
+  per-pass posterior-tensor repair) — bit for bit;
 * ``disguise_codes`` against the frozen ``(n, N)`` broadcast — bit for bit;
 * ``crossover_columns`` against the scalar column crossover — bit for bit;
 * ``mutate_stack`` and ``repair_stack`` against the scalar Section V-F/V-G
@@ -33,13 +34,16 @@ from hypothesis import strategies as st
 
 from repro.backend import ArrayKernels, active_backend
 from repro.backend.kernels import INVERSE_BLOCK_ROWS
+from repro.data.synthetic import normal_distribution
 from repro.rr.matrix import RRMatrix
+from repro.rr.schemes import warner_stack
 from repro.utils.linalg import DEFAULT_CONDITION_LIMIT
 
 from oracles.kernels import (
     reference_batched_safe_inverses,
     reference_evaluate_stack,
     reference_pairwise_distances,
+    reference_repair_stack,
 )
 from oracles.rr import (
     broadcast_disguise_reference,
@@ -57,18 +61,20 @@ KERNELS = active_backend()
 
 def _former_numpy_kernels() -> ArrayKernels:
     """The kernel set of the former ``numpy`` backend: a fresh instance with
-    its posterior-tensor evaluation and slogdet-screened inverses, now the
-    ``oracles.kernels`` references, put back in their place."""
+    its posterior-tensor evaluation, slogdet-screened inverses and
+    posterior-tensor repair, now the ``oracles.kernels`` references, put back
+    in their place."""
     kernels = ArrayKernels()
     kernels.evaluate_stack = reference_evaluate_stack
     kernels.batched_safe_inverses = reference_batched_safe_inverses
+    kernels.repair_stack = reference_repair_stack
     return kernels
 
 
 #: The kernel sets of the two former backends, both still in the tree, under
 #: their old test ids: ``numpy-fused`` became the production instance, and
-#: ``numpy`` differs from it only in the evaluation and inverse kernels it
-#: left to the oracles.  The sets share the other five kernels.
+#: ``numpy`` differs from it only in the evaluation, inverse and repair
+#: kernels it left to the oracles.  The sets share the other four kernels.
 LINEAGES = pytest.mark.parametrize(
     "kernels",
     [
@@ -454,6 +460,119 @@ class TestRepairStack:
             np.testing.assert_allclose(
                 repaired[index], expected.probabilities, rtol=0.0, atol=SCALAR_ATOL
             )
+
+
+def _repair_both(stack, prior, delta, max_passes):
+    """Production and reference repair of the same stack, checked bit for
+    bit (and the input left untouched)."""
+    before = stack.tobytes()
+    kwargs = dict(max_passes=max_passes, tolerance=1e-9)
+    actual = KERNELS.repair_stack(stack, prior, delta, **kwargs)
+    expected = reference_repair_stack(stack, prior, delta, **kwargs)
+    assert stack.tobytes() == before
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
+    return actual
+
+
+def _thin_prior(seed: int, n: int, floor: float) -> np.ndarray:
+    """A random prior with one category at ``floor`` (0 or below the
+    kernel's 1e-12 epsilon): a worst cell there freezes its matrix."""
+    prior = _prior(seed, n)
+    prior[seed % n] = floor
+    return prior / prior.sum()
+
+
+REPAIR_DELTAS = st.sampled_from([0.5, 0.8, 0.999])
+REPAIR_PASSES = st.sampled_from([1, 50])
+
+
+class TestRepairStackBitExact:
+    """``repair_stack`` against the frozen posterior-tensor repair, bit for
+    bit: Warner families with their extreme members, diagonally biased
+    stacks, priors with vanishing categories, posterior ties, both pass
+    limits and an empty stack."""
+
+    @given(
+        n=st.sampled_from([2, 3, 10, 64]),
+        count=st.integers(0, 24),
+        normal=st.booleans(),
+        seed=seeds,
+        delta=REPAIR_DELTAS,
+        max_passes=REPAIR_PASSES,
+    )
+    @SETTINGS
+    def test_warner_families(self, n, count, normal, seed, delta, max_passes):
+        retention = np.concatenate([np.linspace(0.0, 1.0, count), [0.0, 1.0 / n, 1.0]])
+        stack = warner_stack(n, retention)
+        prior = normal_distribution(n).probabilities if normal else _prior(seed, n)
+        _repair_both(stack, prior, delta, max_passes)
+
+    @given(
+        seed=seeds,
+        batch=st.integers(1, 12),
+        n=st.sampled_from([2, 3, 5, 10, 64]),
+        delta=REPAIR_DELTAS,
+        max_passes=REPAIR_PASSES,
+        floor=st.sampled_from([None, 0.0, 1e-13]),
+    )
+    @SETTINGS
+    def test_diagonally_biased_stacks(self, seed, batch, n, delta, max_passes, floor):
+        noise = _stochastic_stack(seed, batch, n)
+        stack = 0.7 * np.eye(n)[None, :, :] + 0.3 * noise
+        stack = np.ascontiguousarray(stack / stack.sum(axis=1, keepdims=True))
+        prior = _prior(seed + 1, n) if floor is None else _thin_prior(seed, n, floor)
+        _repair_both(stack, prior, delta, max_passes)
+
+    @pytest.mark.parametrize("max_passes", [1, 50])
+    @pytest.mark.parametrize("n", [2, 4, 10])
+    def test_posterior_ties(self, n, max_passes):
+        """The identity under a uniform prior has posterior 1 on every
+        diagonal cell: the worst cell is the flat argmax's first tie."""
+        stack = np.stack([np.eye(n), np.eye(n), warner_stack(n, [0.9])[0]])
+        _repair_both(stack, np.full(n, 1.0 / n), 0.5, max_passes)
+
+    def test_worst_cell_is_the_first_posterior_not_the_larger_joint(self):
+        """Report 0 gets two joint values one ulp apart whose posteriors
+        round to the same double: the tensor's flat argmax takes the first
+        of the tied posteriors, not the column of the larger joint."""
+        a = 0.37275799012781363
+        matrix = np.empty((3, 3))
+        matrix[0] = [a, np.nextafter(a, 1.0), 0.09871574255511353]
+        matrix[1] = (1.0 - matrix[0]) * [0.4838417388101407, 0.48806397636728277,
+                                         0.44429479162828067]
+        matrix[2] = 1.0 - matrix[0] - matrix[1]
+        prior = np.full(3, 1.0 / 3.0)
+        joint = matrix * prior
+        posterior = joint[0] / joint[0].sum()
+        assert joint[0, 0] < joint[0, 1] and posterior[0] == posterior[1]
+        _repair_both(matrix[None], prior, 0.4, 1)
+        _repair_both(matrix[None], prior, 0.4, 50)
+
+    @pytest.mark.parametrize(
+        "prior",
+        [[1e-13, 0.3, 0.2, 0.2, 0.2, 0.1], [0.0, 0.3, 0.2, 0.2, 0.2, 0.1],
+         [0.6, 0.1, 0.1, 0.1, 0.05, 0.05]],
+        ids=["thin-category", "zero-category", "prior-above-delta"],
+    )
+    def test_rows_leaving_the_working_set(self, prior):
+        """Every third matrix reports 0 only for an original 0, so its
+        posterior there is 1: with a thin prior category that cell cannot be
+        relaxed and the matrix freezes at its scored state while the rest
+        keep repairing.  A prior above delta (Theorem 5) keeps every matrix
+        in the working set until the pass limit."""
+        prior = np.asarray(prior) / np.sum(prior)
+        stack = warner_stack(prior.size, np.linspace(0.0, 1.0, 41))
+        stack[::3, 0, :] = 0.0
+        stack[::3, :, 0] = 0.0
+        stack[::3, 0, 0] = 1.0
+        stack = np.ascontiguousarray(stack / stack.sum(axis=1, keepdims=True))
+        _repair_both(stack, prior, 0.5, 50)
+
+    @pytest.mark.parametrize("n", [3, 64])
+    def test_empty_stack(self, n):
+        repaired = _repair_both(np.zeros((0, n, n)), np.full(n, 1.0 / n), 0.8, 50)
+        assert repaired.shape == (0, n, n)
 
 
 def _disguise_inputs(seed: int, n: int, count: int, *, adversarial: bool = True):

@@ -13,6 +13,7 @@ from repro.rr.schemes import (
     uniform_perturbation_matrix,
     warner_equivalent_p,
     warner_matrix,
+    warner_stack,
 )
 
 
@@ -39,6 +40,61 @@ class TestWarner:
     def test_rejects_single_category(self):
         with pytest.raises(RRMatrixError):
             warner_matrix(1, 0.5)
+
+
+def _full_then_diagonal(n: int, p: float) -> np.ndarray:
+    """The one-matrix closed form: fill ``(1 - p) / (n - 1)``, then set the
+    diagonal to ``p``."""
+    matrix = np.full((n, n), (1.0 - p) / (n - 1))
+    np.fill_diagonal(matrix, p)
+    return matrix
+
+
+class TestWarnerStack:
+    @pytest.mark.parametrize("n", range(2, 101))
+    def test_bit_identical_to_one_matrix_forms(self, n):
+        for retention in (np.linspace(0.0, 1.0, 1001), np.array([0.0, 1.0 / n, 1.0])):
+            stack = warner_stack(n, retention)
+            assert stack.shape == (retention.size, n, n)
+            assert stack.dtype == np.float64 and stack.flags.c_contiguous
+            for matrix, p in zip(stack, retention.tolist()):
+                assert matrix.tobytes() == warner_matrix(n, p).probabilities.tobytes()
+                assert matrix.tobytes() == _full_then_diagonal(n, p).tobytes()
+
+    def test_empty_retention_grid(self):
+        assert warner_stack(5, []).shape == (0, 5, 5)
+
+    @pytest.mark.parametrize(
+        ("retention", "message"),
+        [
+            ([0.5, 1.4, -1.0], r"p must be in \[0, 1\], got 1.4"),
+            ([-0.25], r"p must be in \[0, 1\], got -0.25"),
+            ([0.5, float("nan")], "p must be finite, got nan"),
+            ([float("inf")], "p must be finite, got inf"),
+        ],
+    )
+    def test_rejects_out_of_range_p_like_warner_matrix(self, retention, message):
+        with pytest.raises(ValidationError, match=message):
+            warner_stack(4, retention)
+        bad = next(p for p in retention if not 0.0 <= p <= 1.0)
+        with pytest.raises(ValidationError, match=message):
+            warner_matrix(4, bad)
+
+    def test_rejects_single_category_like_warner_matrix(self):
+        message = "Warner scheme needs at least two categories"
+        with pytest.raises(RRMatrixError, match=message):
+            warner_stack(1, [0.5])
+        with pytest.raises(RRMatrixError, match=message):
+            warner_matrix(1, 0.5)
+
+    def test_checks_p_before_the_domain_size(self):
+        """As before the stack form: a bad ``p`` is reported even at n = 1."""
+        with pytest.raises(ValidationError, match=r"p must be in \[0, 1\]"):
+            warner_matrix(1, 1.4)
+
+    def test_rejects_a_non_vector_grid(self):
+        with pytest.raises(ValidationError, match="one-dimensional"):
+            warner_stack(4, [[0.5]])
 
 
 class TestUniformPerturbation:

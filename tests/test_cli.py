@@ -450,6 +450,55 @@ class TestDisguise:
         assert main(argv + ["--estimator", "iterative"]) == 0
         assert len(output.read_text(encoding="utf-8").split()) == 4
 
+    def test_ill_conditioned_matrix_warns_and_keeps_its_outputs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Warner a hair above p = 1/n inverts (cond_1 ~ 1.1e7, below the
+        1e12 invertibility limit) but its inversion estimate is noise: one
+        warning line names cond_1(M) and the iterative estimator; the exit
+        code, codes and report are those of a run without the check."""
+        import repro.cli as cli
+
+        codes = tmp_path / "codes.txt"
+        codes.write_text("0 1 2 3 0 1 2 3", encoding="utf-8")
+        output, report = tmp_path / "disguised.txt", tmp_path / "report.json"
+        argv = ["disguise", str(codes), "--matrix", "warner:0.2500001", "--categories",
+                "4", "--output", str(output), "--report", str(report)]
+
+        def run():
+            code = main(argv)
+            captured = capsys.readouterr()
+            return code, captured, output.read_bytes(), report.read_bytes()
+
+        code, captured, codes_out, report_out = run()
+        assert code == 0
+        warnings = [line for line in captured.err.splitlines() if "warning" in line]
+        assert warnings == [line for line in captured.err.splitlines() if line]
+        assert len(warnings) == 1
+        assert warnings[0].startswith("optrr: warning: matrix warner:0.2500001 ")
+        assert "cond_1(M) = 1.12e+07" in warnings[0]
+        assert "--estimator iterative" in warnings[0]
+        monkeypatch.setattr(cli, "ILL_CONDITIONED_LIMIT", float("inf"))
+        quiet_code, quiet, quiet_codes, quiet_report = run()
+        assert quiet.err == ""
+        assert (quiet_code, quiet.out, quiet_codes, quiet_report) == (
+            code, captured.out, codes_out, report_out
+        )
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--matrix", "warner:0.8"], ["--matrix", "warner:0.2500001",
+                                      "--estimator", "iterative"]],
+        ids=["well-conditioned", "iterative"],
+    )
+    def test_no_condition_warning(self, tmp_path, capsys, extra):
+        codes = tmp_path / "codes.txt"
+        codes.write_text("0 1 2 3", encoding="utf-8")
+        argv = ["disguise", str(codes), "--categories", "4", *extra,
+                "--output", str(tmp_path / "out.txt")]
+        assert main(argv) == 0
+        assert "warning" not in capsys.readouterr().err
+
 
     @pytest.mark.parametrize("chunk_size", ["1", "3", "65536"])
     @pytest.mark.parametrize(

@@ -44,6 +44,7 @@ from oracles.kernels import (
     reference_batched_safe_inverses,
     reference_evaluate_stack,
     reference_pairwise_distances,
+    reference_repair_stack,
 )
 from oracles.optrr_loop import (
     reference_environmental_selection,
@@ -194,8 +195,9 @@ class TestBackendTrajectoryEquivalence:
     """The production kernels may differ from the frozen references in how
     they compute, never in what: a fixed-seed short run of each engine
     (OptRR, SPEA2, NSGA-II) with the kernel instance's ``evaluate_stack``,
-    ``batched_safe_inverses`` and ``pairwise_distances`` replaced by the
-    :mod:`oracles.kernels` references must equal the unpatched run:
+    ``batched_safe_inverses``, ``pairwise_distances`` and ``repair_stack``
+    replaced by the :mod:`oracles.kernels` references must equal the
+    unpatched run:
 
     * the final RNG bit-generator state is *identical* — kernels are
       RNG-free, so no kernel can reorder or add draws;
@@ -252,10 +254,12 @@ class TestBackendTrajectoryEquivalence:
             ("evaluate_stack", reference_evaluate_stack),
             ("batched_safe_inverses", reference_batched_safe_inverses),
             ("pairwise_distances", reference_pairwise_distances),
+            ("repair_stack", reference_repair_stack),
         ):
             monkeypatch.setattr(kernels, name, counted(name, reference))
         front, evaluations, rng_state = self._run(engine)
         assert calls["evaluate_stack"] > 0
+        assert calls["repair_stack"] > 0
         if engine != "nsga2":  # NSGA-II ranks by crowding, not distances
             assert calls["pairwise_distances"] > 0
         expected_front, expected_evaluations, expected_rng_state = production
